@@ -16,6 +16,12 @@ cargo build --release
 echo "== cargo test (workspace)"
 cargo test -q --release --workspace
 
+echo "== perfbench builds and passes its self-tests"
+# The benchmark is a workspace of its own that calls the public
+# simulator API; building and self-testing it here turns an API change
+# that would break the benchmark into a CI failure.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== trace_dump smoke test (emits + validates results/trace_dump*.json)"
 # The binary re-parses its own Chrome trace-event output and asserts the
 # irq/entry/phase/mret/cache event vocabulary is present (panics if not),

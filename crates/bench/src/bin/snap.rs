@@ -151,8 +151,8 @@ fn run(args: &[String]) -> Result<(), String> {
             let budget = parse_u64(cycles, "cycle budget")?;
             let cold_doc = boot(core, preset, workload, cycle + budget)?;
             let warm_doc = boot(core, preset, workload, cycle)?;
-            let state = snap::open(&warm_doc.render()).map_err(|e| e.to_string())?;
-            let mut warm = System::from_state_snap(&state).map_err(|e| e.to_string())?;
+            let state = snap::verify(&warm_doc).map_err(|e| e.to_string())?;
+            let mut warm = System::from_state_snap(state).map_err(|e| e.to_string())?;
             warm.run(budget);
             let resumed = warm.snapshot().render();
             if cold_doc.render() != resumed {

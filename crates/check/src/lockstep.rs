@@ -29,8 +29,8 @@
 //!
 //! With [`EpisodeSpec::snap`] set the engine is additionally round-tripped
 //! through the snapshot codec ([`CoreEngine::to_snap`] →
-//! [`restore_snap`](rvsim_cores::CoreEngine::restore_snap) into a fresh
-//! engine, which then replaces the original) at pseudo-random retire
+//! [`from_snap`](rvsim_cores::CoreEngine::from_snap), which builds a new
+//! engine that then replaces the original) at pseudo-random retire
 //! points. The round-trip must be invisible: any micro-architectural
 //! state the codec fails to carry desynchronises the swapped-in engine
 //! from the golden model and is caught by the ordinary lockstep diff.
@@ -41,6 +41,7 @@ use rvsim_cores::{make_engine, stop_events, CoreEvent, CoreKind, GoldenCore, Gol
 use rvsim_isa::progen::{generate, GenConfig, ProgramSpec};
 use rvsim_isa::{csr, Reg, Rng64};
 use rvsim_mem::{AccessSize, Mem};
+use rvsim_snapshot::Snap;
 
 /// Instruction-memory window used by every episode.
 pub const IMEM_BASE: u32 = 0;
@@ -283,9 +284,7 @@ impl SnapPlan {
                 engine,
             ));
         }
-        let mut fresh = make_engine(core, IMEM_BASE, IMEM_SIZE);
-        fresh
-            .restore_snap(&doc)
+        let fresh = rvsim_cores::CoreEngine::from_snap(&doc, &core.timing())
             .map_err(|e| fail(format!("snapshot restore: {e}"), engine))?;
         if fresh.to_snap().render() != doc.render() {
             return Err(fail(
@@ -294,8 +293,8 @@ impl SnapPlan {
             ));
         }
         *engine = fresh;
-        let bus_doc = bus.mem.to_snap();
-        bus.mem = Mem::from_snap(&bus_doc)
+        let bus_doc = bus.mem.encode();
+        bus.mem = Mem::decode(&bus_doc)
             .map_err(|e| fail(format!("bus snapshot restore: {e}"), engine))?;
         stats.snap_roundtrips += 1;
         self.next = engine.retired() + self.gap();

@@ -30,6 +30,22 @@ pub struct RtosUnitConfig {
     pub list_len: usize,
 }
 
+rvsim_snapshot::snap_fields! {
+    impl Snap for RtosUnitConfig {
+        "store" => store,
+        "load" => load,
+        "sched" => sched,
+        "dirty_bits" => dirty_bits,
+        "load_omission" => load_omission,
+        "preload" => preload,
+        "hw_sync" => hw_sync,
+        "list_len" => list_len,
+        check(cfg) => cfg.validate().map_err(|e| {
+            rvsim_snapshot::SnapError::new(format!("invalid configuration: {e}"))
+        }),
+    }
+}
+
 impl Default for RtosUnitConfig {
     fn default() -> Self {
         RtosUnitConfig {

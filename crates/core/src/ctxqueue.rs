@@ -7,7 +7,7 @@
 //! queue's depth bounds how many unit accesses may be in flight — the
 //! paper found **eight** entries Pareto-optimal.
 
-use rvsim_snapshot::{self as snap, Json, SnapError};
+use rvsim_snapshot::{self as snap, snap_fields, Rle};
 use std::collections::VecDeque;
 
 /// Timing model of the ctxQueue. Entries hold only completion times: the
@@ -85,43 +85,22 @@ impl CtxQueue {
     pub fn stats(&self) -> (u64, u64) {
         (self.issued, self.full_stalls)
     }
+}
 
-    /// Serializes the queue (in-flight completion times and counters)
-    /// for a machine-state snapshot.
-    pub fn to_snap(&self) -> Json {
-        let inflight: Vec<u64> = self.inflight.iter().copied().collect();
-        Json::object()
-            .with("capacity", self.capacity)
-            .with("inflight_len", inflight.len())
-            .with("inflight", snap::longs_to_json(&inflight))
-            .with("issued", self.issued)
-            .with("full_stalls", self.full_stalls)
-    }
-
-    /// Rebuilds the queue from [`to_snap`](Self::to_snap) output.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed fields, an out-of-range capacity, or more
-    /// in-flight entries than the capacity allows.
-    pub fn from_snap(value: &Json) -> Result<CtxQueue, SnapError> {
-        let capacity = snap::get_usize(value, "capacity")?;
-        if !(1..32).contains(&capacity) {
-            return Err(SnapError::new("ctxqueue: capacity out of 1..32"));
-        }
-        let len = snap::get_usize(value, "inflight_len")?;
-        if len > capacity {
-            return Err(SnapError::new(format!(
-                "ctxqueue: {len} in flight exceeds capacity {capacity}"
-            )));
-        }
-        let inflight = snap::longs_from_json(snap::field(value, "inflight")?, len)?;
-        Ok(CtxQueue {
-            capacity,
-            inflight: inflight.into_iter().collect(),
-            issued: snap::get_u64(value, "issued")?,
-            full_stalls: snap::get_u64(value, "full_stalls")?,
-        })
+snap_fields! {
+    // In-flight completion times and counters.
+    impl Snap for CtxQueue {
+        "capacity" => capacity,
+        "inflight_len" => let len: usize = inflight.len(),
+        "inflight" => inflight: Rle(len),
+        "issued" => issued,
+        "full_stalls" => full_stalls,
+        check => snap::ensure((1..32).contains(capacity), || {
+            "ctxqueue: capacity out of 1..32".into()
+        }),
+        check => snap::ensure(len <= *capacity, || {
+            format!("ctxqueue: {len} in flight exceeds capacity {capacity}")
+        }),
     }
 }
 

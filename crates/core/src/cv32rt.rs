@@ -15,7 +15,7 @@
 
 use rvsim_cores::{ArchState, Coprocessor, CoreKind, DataBus};
 use rvsim_isa::{CustomOp, Reg};
-use rvsim_snapshot::{self as snap, Json, SnapError};
+use rvsim_snapshot::{self as snap, snap_fields, Rle};
 
 /// The 16 snapshot registers (x16..x31).
 pub const SNAPSHOT_REGS: [Reg; 16] = [
@@ -90,50 +90,29 @@ impl Cv32rtUnit {
     fn frame_offset(i: usize) -> u32 {
         HW_BLOCK_OFF + (i as u32) * 4
     }
+}
 
-    /// Serializes the unit (snapshot buffer, drain cursor, invalidated
-    /// lines, counters) for a machine-state snapshot.
-    pub fn to_snap(&self) -> Json {
-        Json::object()
-            .with("bypass_invalidate", self.bypass_invalidate)
-            .with("buf", snap::words_to_json(&self.buf))
-            .with("frame_base", self.frame_base)
-            .with("remaining", self.remaining)
-            .with("lines_len", self.invalidated_lines.len())
-            .with("lines", snap::words_to_json(&self.invalidated_lines))
-            .with("interrupts", self.stats.interrupts)
-            .with("snapshot_words", self.stats.snapshot_words)
-            .with("invalidations", self.stats.invalidations)
+snap_fields! {
+    impl Snap for Cv32rtStats {
+        "interrupts" => interrupts,
+        "snapshot_words" => snapshot_words,
+        "invalidations" => invalidations,
     }
+}
 
-    /// Rebuilds the unit from [`to_snap`](Self::to_snap) output.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed fields or a drain cursor beyond the buffer.
-    pub fn from_snap(value: &Json) -> Result<Cv32rtUnit, SnapError> {
-        let remaining = snap::get_usize(value, "remaining")?;
-        if remaining > SNAPSHOT_REGS.len() {
-            return Err(SnapError::new(format!(
-                "cv32rt: drain cursor {remaining} beyond the snapshot buffer"
-            )));
-        }
-        let words = snap::words_from_json(snap::field(value, "buf")?, 16)?;
-        let mut buf = [0u32; 16];
-        buf.copy_from_slice(&words);
-        let lines_len = snap::get_usize(value, "lines_len")?;
-        Ok(Cv32rtUnit {
-            bypass_invalidate: snap::get_bool(value, "bypass_invalidate")?,
-            buf,
-            frame_base: snap::get_u32(value, "frame_base")?,
-            remaining,
-            invalidated_lines: snap::words_from_json(snap::field(value, "lines")?, lines_len)?,
-            stats: Cv32rtStats {
-                interrupts: snap::get_u64(value, "interrupts")?,
-                snapshot_words: snap::get_u64(value, "snapshot_words")?,
-                invalidations: snap::get_u64(value, "invalidations")?,
-            },
-        })
+snap_fields! {
+    // Snapshot buffer, drain cursor, invalidated lines and counters.
+    impl Snap for Cv32rtUnit {
+        "bypass_invalidate" => bypass_invalidate,
+        "buf" => buf: Rle(16),
+        "frame_base" => frame_base,
+        "remaining" => remaining,
+        "lines_len" => let lines_len: usize = invalidated_lines.len(),
+        "lines" => invalidated_lines: Rle(lines_len),
+        .. => stats,
+        check => snap::ensure(*remaining <= SNAPSHOT_REGS.len(), || {
+            format!("cv32rt: drain cursor {remaining} beyond the snapshot buffer")
+        }),
     }
 }
 

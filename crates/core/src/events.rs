@@ -18,7 +18,7 @@
 //! holds an `Option<EventTrace>` and every record site is gated on one
 //! `is_some` check; the batched execution fast path is untouched.
 
-use rvsim_snapshot::{self as snap, Json, SnapError};
+use rvsim_snapshot::{self as snap, snap_fields, Codec, Each, Json, SnapError};
 use std::collections::VecDeque;
 
 /// High half-word tagging a TRACE write as a kernel phase mark (`"PH"` in
@@ -253,109 +253,92 @@ impl EventTrace {
         self.events.clear();
         self.dropped = 0;
     }
+}
 
-    /// Serializes the ring (every retained event, typed) for a
-    /// machine-state snapshot.
-    pub fn to_snap(&self) -> Json {
-        let events: Vec<Json> = self
-            .events
-            .iter()
-            .map(|&(cycle, ev)| trace_event_to_snap(cycle, ev))
-            .collect();
-        Json::object()
-            .with("capacity", self.capacity)
-            .with("dropped", self.dropped)
-            .with("events", events)
-    }
-
-    /// Rebuilds the trace from [`to_snap`](Self::to_snap) output.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed fields, an unknown event kind, or more
-    /// retained events than the capacity allows.
-    pub fn from_snap(value: &Json) -> Result<EventTrace, SnapError> {
-        let capacity = snap::get_usize(value, "capacity")?;
-        let entries = snap::get_array(value, "events")?;
-        if entries.len() > capacity {
-            return Err(SnapError::new(format!(
-                "trace: {} events exceed capacity {capacity}",
-                entries.len()
-            )));
-        }
-        let mut events = VecDeque::with_capacity(capacity.min(1 << 16));
-        for e in entries {
-            events.push_back(trace_event_from_snap(e)?);
-        }
-        Ok(EventTrace {
-            events,
-            capacity,
-            dropped: snap::get_u64(value, "dropped")?,
-        })
+snap_fields! {
+    // Capacity, drop count and every retained event, typed.
+    impl Snap for EventTrace {
+        "capacity" => capacity,
+        "dropped" => dropped,
+        "events" => events: Each(TimedEvent),
+        check => snap::ensure(events.len() <= *capacity, || {
+            format!("trace: {} events exceed capacity {capacity}", events.len())
+        }),
     }
 }
 
-/// Serializes one cycle-stamped [`TraceEvent`] as a tagged object.
-fn trace_event_to_snap(cycle: u64, event: TraceEvent) -> Json {
-    let obj = Json::object()
-        .with("cycle", cycle)
-        .with("kind", event.kind());
-    match event {
-        TraceEvent::IrqRaised { cause } | TraceEvent::IsrEntry { cause } => {
-            obj.with("cause", cause)
-        }
-        TraceEvent::Phase(code) => obj.with("code", code as u32),
-        TraceEvent::GuestMark { value } => obj.with("value", value),
-        TraceEvent::CacheAccess { hit, write } => obj.with("hit", hit).with("write", write),
-        TraceEvent::UnitOp { write } => obj.with("write", write),
-        TraceEvent::FaultInjected { code } => obj.with("code", code),
-        TraceEvent::FaultDetected { detector } => obj.with("detector", detector),
-        TraceEvent::MretRetired | TraceEvent::Halted => obj,
+snap_fields! {
+    impl Snap for TraceMark {
+        "cycle" => cycle,
+        "code" => code,
     }
 }
 
-/// Parses one cycle-stamped [`TraceEvent`] back from its tagged object.
-fn trace_event_from_snap(value: &Json) -> Result<(u64, TraceEvent), SnapError> {
-    let cycle = snap::get_u64(value, "cycle")?;
-    let event = match snap::get_str(value, "kind")? {
-        "irq_raised" => TraceEvent::IrqRaised {
-            cause: snap::get_u32(value, "cause")?,
-        },
-        "isr_entry" => TraceEvent::IsrEntry {
-            cause: snap::get_u32(value, "cause")?,
-        },
-        "phase" => match snap::get_u32(value, "code")? {
-            1 => TraceEvent::Phase(PhaseCode::SaveDone),
-            2 => TraceEvent::Phase(PhaseCode::SchedDone),
-            other => {
-                return Err(SnapError::new(format!("trace: unknown phase code {other}")));
+/// One retained `(cycle, event)` pair. Hand-written: the payload keys
+/// depend on the event kind.
+struct TimedEvent;
+
+impl Codec<(u64, TraceEvent)> for TimedEvent {
+    fn encode(&self, &(cycle, event): &(u64, TraceEvent)) -> Json {
+        let obj = Json::object()
+            .with("cycle", cycle)
+            .with("kind", event.kind());
+        match event {
+            TraceEvent::IrqRaised { cause } | TraceEvent::IsrEntry { cause } => {
+                obj.with("cause", cause)
             }
-        },
-        "mret" => TraceEvent::MretRetired,
-        "guest_mark" => TraceEvent::GuestMark {
-            value: snap::get_u32(value, "value")?,
-        },
-        "cache" => TraceEvent::CacheAccess {
-            hit: snap::get_bool(value, "hit")?,
-            write: snap::get_bool(value, "write")?,
-        },
-        "unit_op" => TraceEvent::UnitOp {
-            write: snap::get_bool(value, "write")?,
-        },
-        "halted" => TraceEvent::Halted,
-        "fault_injected" => TraceEvent::FaultInjected {
-            code: snap::get_u32(value, "code")?,
-        },
-        "fault_detected" => TraceEvent::FaultDetected {
-            detector: snap::get_u32(value, "detector")?,
-        },
-        other => {
-            return Err(SnapError::new(format!(
-                "trace: unknown event kind `{other}`"
-            )));
+            TraceEvent::Phase(code) => obj.with("code", code as u32),
+            TraceEvent::GuestMark { value } => obj.with("value", value),
+            TraceEvent::CacheAccess { hit, write } => obj.with("hit", hit).with("write", write),
+            TraceEvent::UnitOp { write } => obj.with("write", write),
+            TraceEvent::FaultInjected { code } => obj.with("code", code),
+            TraceEvent::FaultDetected { detector } => obj.with("detector", detector),
+            TraceEvent::MretRetired | TraceEvent::Halted => obj,
         }
-    };
-    Ok((cycle, event))
+    }
+
+    fn decode(&self, value: &Json) -> Result<(u64, TraceEvent), SnapError> {
+        let kind = value.get("kind").and_then(Json::as_str);
+        let event = match kind.ok_or_else(|| SnapError::new("kind: expected string"))? {
+            "irq_raised" => TraceEvent::IrqRaised {
+                cause: snap::get(value, "cause")?,
+            },
+            "isr_entry" => TraceEvent::IsrEntry {
+                cause: snap::get(value, "cause")?,
+            },
+            "phase" => match snap::get::<u32>(value, "code")? {
+                1 => TraceEvent::Phase(PhaseCode::SaveDone),
+                2 => TraceEvent::Phase(PhaseCode::SchedDone),
+                other => {
+                    return Err(SnapError::new(format!("trace: unknown phase code {other}")));
+                }
+            },
+            "mret" => TraceEvent::MretRetired,
+            "guest_mark" => TraceEvent::GuestMark {
+                value: snap::get(value, "value")?,
+            },
+            "cache" => TraceEvent::CacheAccess {
+                hit: snap::get(value, "hit")?,
+                write: snap::get(value, "write")?,
+            },
+            "unit_op" => TraceEvent::UnitOp {
+                write: snap::get(value, "write")?,
+            },
+            "halted" => TraceEvent::Halted,
+            "fault_injected" => TraceEvent::FaultInjected {
+                code: snap::get(value, "code")?,
+            },
+            "fault_detected" => TraceEvent::FaultDetected {
+                detector: snap::get(value, "detector")?,
+            },
+            other => {
+                return Err(SnapError::new(format!(
+                    "trace: unknown event kind `{other}`"
+                )));
+            }
+        };
+        Ok((snap::get(value, "cycle")?, event))
+    }
 }
 
 impl TraceSink for EventTrace {

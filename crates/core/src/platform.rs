@@ -21,7 +21,7 @@ use rvsim_cores::engine::{BusResponse, DataBus};
 use rvsim_cores::CoreKind;
 use rvsim_isa::csr;
 use rvsim_mem::{AccessSize, Arbiter, Cache, Mem};
-use rvsim_snapshot::{self as snap, Json, SnapError};
+use rvsim_snapshot::{snap_fields, Rle};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -119,55 +119,6 @@ impl Mmio {
         }
     }
 
-    /// Serializes the device block for a machine-state snapshot.
-    pub fn to_snap(&self) -> Json {
-        let marks: Vec<Json> = self
-            .trace_marks
-            .iter()
-            .map(|m| Json::object().with("cycle", m.cycle).with("code", m.code))
-            .collect();
-        Json::object()
-            .with("mtime", self.mtime)
-            .with("mtimecmp", self.mtimecmp)
-            .with("msip", self.msip)
-            .with("ext_pending", self.ext_pending)
-            .with("auto_timer_reset", self.auto_timer_reset)
-            .with("timer_period", self.timer_period)
-            .with("halted", self.halted)
-            .with("attention", self.attention)
-            .with("trace_marks", marks)
-            .with("console_len", self.console.len())
-            .with("console", snap::words_to_json(&self.console))
-    }
-
-    /// Rebuilds the device block from [`to_snap`](Self::to_snap) output.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed fields.
-    pub fn from_snap(value: &Json) -> Result<Mmio, SnapError> {
-        let mut trace_marks = Vec::new();
-        for m in snap::get_array(value, "trace_marks")? {
-            trace_marks.push(TraceMark {
-                cycle: snap::get_u64(m, "cycle")?,
-                code: snap::get_u32(m, "code")?,
-            });
-        }
-        let console_len = snap::get_usize(value, "console_len")?;
-        Ok(Mmio {
-            mtime: snap::get_u32(value, "mtime")?,
-            mtimecmp: snap::get_u32(value, "mtimecmp")?,
-            msip: snap::get_bool(value, "msip")?,
-            ext_pending: snap::get_bool(value, "ext_pending")?,
-            auto_timer_reset: snap::get_bool(value, "auto_timer_reset")?,
-            timer_period: snap::get_u32(value, "timer_period")?,
-            halted: snap::get_bool(value, "halted")?,
-            attention: snap::get_bool(value, "attention")?,
-            trace_marks,
-            console: snap::words_from_json(snap::field(value, "console")?, console_len)?,
-        })
-    }
-
     fn write(&mut self, addr: u32, value: u32, cycle: u64) {
         match addr & !0x3 {
             MMIO_MTIMECMP => {
@@ -190,6 +141,22 @@ impl Mmio {
             MMIO_TRACE => self.trace_marks.push(TraceMark { cycle, code: value }),
             _ => {}
         }
+    }
+}
+
+snap_fields! {
+    impl Snap for Mmio {
+        "mtime" => mtime,
+        "mtimecmp" => mtimecmp,
+        "msip" => msip,
+        "ext_pending" => ext_pending,
+        "auto_timer_reset" => auto_timer_reset,
+        "timer_period" => timer_period,
+        "halted" => halted,
+        "attention" => attention,
+        "trace_marks" => trace_marks,
+        "console_len" => let console_len: usize = console.len(),
+        "console" => console: Rle(console_len),
     }
 }
 
@@ -368,78 +335,27 @@ impl Platform {
     fn is_mmio(addr: u32) -> bool {
         (MMIO_BASE..MMIO_END).contains(&addr)
     }
+}
 
-    /// Serializes the full platform state (memory, cache, queues,
-    /// arbitration, devices, trace ring) for a machine-state snapshot.
-    ///
-    /// The SMP attachment is deliberately **not** captured: it is wiring,
-    /// not state, and is re-established by the restoring composition
-    /// (per-hart shared-bus state lives in [`SmpShared`]).
-    pub fn to_snap(&self) -> Json {
-        Json::object()
-            .with("dmem", self.dmem.to_snap())
-            .with(
-                "dcache",
-                self.dcache.as_ref().map_or(Json::Null, |c| c.to_snap()),
-            )
-            .with("unit_shares_cache", self.unit_shares_cache)
-            .with(
-                "ctx_queue",
-                self.ctx_queue.as_ref().map_or(Json::Null, |q| q.to_snap()),
-            )
-            .with("arb", self.arb.to_snap())
-            .with("bus_busy", self.bus_busy)
-            .with("core_used_this_cycle", self.core_used_this_cycle)
-            .with("cycle", self.cycle)
-            .with("mmio", self.mmio.to_snap())
-            .with(
-                "trace",
-                self.trace.as_ref().map_or(Json::Null, |t| t.to_snap()),
-            )
-            .with("bus_error_armed", self.bus_error_armed)
-    }
-
-    /// Restores the platform in place from [`to_snap`](Self::to_snap)
-    /// output. The SMP attachment (if any) is left untouched. Every field
-    /// is parsed before anything is committed, so a failed restore leaves
-    /// the platform unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed fields or nested component errors.
-    pub fn restore_snap(&mut self, value: &Json) -> Result<(), SnapError> {
-        let dmem = Mem::from_snap(snap::field(value, "dmem")?)?;
-        let dcache = match snap::field(value, "dcache")? {
-            Json::Null => None,
-            v => Some(Cache::from_snap(v)?),
-        };
-        let ctx_queue = match snap::field(value, "ctx_queue")? {
-            Json::Null => None,
-            v => Some(CtxQueue::from_snap(v)?),
-        };
-        let arb = Arbiter::from_snap(snap::field(value, "arb")?)?;
-        let mmio = Mmio::from_snap(snap::field(value, "mmio")?)?;
-        let trace = match snap::field(value, "trace")? {
-            Json::Null => None,
-            v => Some(EventTrace::from_snap(v)?),
-        };
-        let unit_shares_cache = snap::get_bool(value, "unit_shares_cache")?;
-        let bus_busy = snap::get_u32(value, "bus_busy")?;
-        let core_used_this_cycle = snap::get_bool(value, "core_used_this_cycle")?;
-        let cycle = snap::get_u64(value, "cycle")?;
-        let bus_error_armed = snap::get_bool(value, "bus_error_armed")?;
-        self.dmem = dmem;
-        self.dcache = dcache;
-        self.unit_shares_cache = unit_shares_cache;
-        self.ctx_queue = ctx_queue;
-        self.arb = arb;
-        self.bus_busy = bus_busy;
-        self.core_used_this_cycle = core_used_this_cycle;
-        self.cycle = cycle;
-        self.mmio = mmio;
-        self.trace = trace;
-        self.bus_error_armed = bus_error_armed;
-        Ok(())
+snap_fields! {
+    // The full platform state: memory, cache, queues, arbitration,
+    // devices and trace ring. The SMP attachment is deliberately **not**
+    // captured: it is wiring, not state, and is re-established by the
+    // composition that decodes the platform (per-hart shared-bus state
+    // lives in [`SmpShared`]).
+    impl Snap for Platform {
+        "dmem" => dmem,
+        "dcache" => dcache,
+        "unit_shares_cache" => unit_shares_cache,
+        "ctx_queue" => ctx_queue,
+        "arb" => arb,
+        "bus_busy" => bus_busy,
+        "core_used_this_cycle" => core_used_this_cycle,
+        "cycle" => cycle,
+        "mmio" => mmio,
+        "trace" => trace,
+        "bus_error_armed" => bus_error_armed,
+        _ => smp = None,
     }
 }
 

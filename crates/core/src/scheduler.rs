@@ -6,7 +6,7 @@
 //! `sort_busy` cycle counter for the time hardware would still be sorting;
 //! `GET_HW_SCHED` stalls while that counter is non-zero.
 
-use rvsim_snapshot::{self as snap, Json, SnapError};
+use rvsim_snapshot::{self as snap, snap_fields};
 
 /// One slot of a hardware list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,71 +239,30 @@ impl HwScheduler {
     pub fn delay_snapshot(&self) -> Vec<SchedEntry> {
         self.delay.clone()
     }
+}
 
-    /// Serializes both lists and the sorting-network state for a
-    /// machine-state snapshot.
-    pub fn to_snap(&self) -> Json {
-        let list = |entries: &[SchedEntry]| -> Json {
-            entries
-                .iter()
-                .map(|e| {
-                    Json::object()
-                        .with("task", u32::from(e.task_id))
-                        .with("prio", u32::from(e.prio))
-                        .with("delay", e.delay)
-                        .with("seq", e.seq)
-                })
-                .collect::<Vec<Json>>()
-                .into()
-        };
-        Json::object()
-            .with("capacity", self.capacity)
-            .with("seq", self.seq)
-            .with("sort_busy", self.sort_busy)
-            .with("overflowed", self.overflowed)
-            .with("ready", list(&self.ready))
-            .with("delay", list(&self.delay))
+snap_fields! {
+    impl Snap for SchedEntry {
+        "task" => task_id,
+        "prio" => prio,
+        "delay" => delay,
+        "seq" => seq,
     }
+}
 
-    /// Rebuilds the scheduler from [`to_snap`](Self::to_snap) output.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed fields, a zero capacity, or a list longer than
-    /// the capacity.
-    pub fn from_snap(value: &Json) -> Result<HwScheduler, SnapError> {
-        let capacity = snap::get_usize(value, "capacity")?;
-        if capacity == 0 {
-            return Err(SnapError::new("scheduler: zero capacity"));
-        }
-        let list = |key: &str| -> Result<Vec<SchedEntry>, SnapError> {
-            let entries = snap::get_array(value, key)?;
-            if entries.len() > capacity {
-                return Err(SnapError::new(format!(
-                    "scheduler: {key} list of {} exceeds capacity {capacity}",
-                    entries.len()
-                )));
-            }
-            entries
-                .iter()
-                .map(|e| {
-                    Ok(SchedEntry {
-                        task_id: snap::get_u8(e, "task")?,
-                        prio: snap::get_u8(e, "prio")?,
-                        delay: snap::get_u32(e, "delay")?,
-                        seq: snap::get_u64(e, "seq")?,
-                    })
-                })
-                .collect()
-        };
-        Ok(HwScheduler {
-            ready: list("ready")?,
-            delay: list("delay")?,
-            capacity,
-            seq: snap::get_u64(value, "seq")?,
-            sort_busy: snap::get_u32(value, "sort_busy")?,
-            overflowed: snap::get_bool(value, "overflowed")?,
-        })
+snap_fields! {
+    // Both lists and the sorting-network state.
+    impl Snap for HwScheduler {
+        "capacity" => capacity,
+        "seq" => seq,
+        "sort_busy" => sort_busy,
+        "overflowed" => overflowed,
+        "ready" => ready,
+        "delay" => delay,
+        check => snap::ensure(*capacity > 0, || "scheduler: zero capacity".into()),
+        check => snap::ensure(ready.len() <= *capacity && delay.len() <= *capacity, || {
+            format!("scheduler: a list exceeds capacity {capacity}")
+        }),
     }
 }
 

@@ -27,7 +27,7 @@ use crate::system::{RunExit, System};
 use rvsim_cores::CoreKind;
 use rvsim_isa::Program;
 use rvsim_mem::{BusArbiter, BusMasterStats};
-use rvsim_snapshot::{self as snap, Json, SnapError};
+use rvsim_snapshot::{self as snap, snap_fields, Codec, Each, Json, Rle, Snap, SnapError};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -103,62 +103,36 @@ impl SmpShared {
     pub fn bus_stats(&self, hart: usize) -> BusMasterStats {
         self.bus.master_stats(hart)
     }
+}
 
-    /// Serializes the shared bus and IPI mailboxes for a machine-state
-    /// snapshot.
-    pub fn to_snap(&self) -> Json {
-        let mailboxes: Vec<Json> = self
-            .mailboxes
-            .iter()
-            .map(|mb| {
-                let codes: Vec<u32> = mb.iter().copied().collect();
-                Json::object()
-                    .with("len", codes.len())
-                    .with("codes", snap::words_to_json(&codes))
-            })
-            .collect();
+snap_fields! {
+    // The shared bus and IPI mailboxes.
+    impl Snap for SmpShared {
+        "harts" => let harts: usize = mailboxes.len(),
+        "bus" => bus,
+        "mailboxes" => mailboxes: Each(Mailbox),
+        "sends" => sends: Rle(harts),
+        "recvs" => recvs: Rle(harts),
+        check => snap::ensure(harts > 0, || "smp: zero harts".into()),
+        check => snap::ensure(mailboxes.len() == harts && bus.masters() == harts, || {
+            format!("smp: mailbox or bus master count disagrees with {harts} harts")
+        }),
+    }
+}
+
+/// One mailbox: its queued IPI codes, run-length encoded.
+struct Mailbox;
+
+impl Codec<VecDeque<u32>> for Mailbox {
+    fn encode(&self, codes: &VecDeque<u32>) -> Json {
         Json::object()
-            .with("harts", self.harts())
-            .with("bus", self.bus.to_snap())
-            .with("mailboxes", mailboxes)
-            .with("sends", snap::longs_to_json(&self.sends))
-            .with("recvs", snap::longs_to_json(&self.recvs))
+            .with("len", codes.len())
+            .with("codes", Rle(codes.len()).encode(codes))
     }
 
-    /// Rebuilds the shared state from [`to_snap`](Self::to_snap) output.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed fields or mailbox/counter counts that disagree
-    /// with the recorded hart count.
-    pub fn from_snap(value: &Json) -> Result<SmpShared, SnapError> {
-        let harts = snap::get_usize(value, "harts")?;
-        if harts == 0 {
-            return Err(SnapError::new("smp: zero harts"));
-        }
-        let boxes = snap::get_array(value, "mailboxes")?;
-        if boxes.len() != harts {
-            return Err(SnapError::new(format!(
-                "smp: {} mailboxes for {harts} harts",
-                boxes.len()
-            )));
-        }
-        let mut mailboxes = Vec::with_capacity(harts);
-        for mb in boxes {
-            let len = snap::get_usize(mb, "len")?;
-            let codes = snap::words_from_json(snap::field(mb, "codes")?, len)?;
-            mailboxes.push(codes.into_iter().collect());
-        }
-        let bus = BusArbiter::from_snap(snap::field(value, "bus")?)?;
-        if bus.masters() != harts {
-            return Err(SnapError::new("smp: bus master count disagrees"));
-        }
-        Ok(SmpShared {
-            bus,
-            mailboxes,
-            sends: snap::longs_from_json(snap::field(value, "sends")?, harts)?,
-            recvs: snap::longs_from_json(snap::field(value, "recvs")?, harts)?,
-        })
+    fn decode(&self, value: &Json) -> Result<VecDeque<u32>, SnapError> {
+        let len: usize = snap::get(value, "len")?;
+        snap::get_with(value, "codes", &Rle(len))
     }
 }
 
@@ -253,47 +227,49 @@ impl SmpSystem {
         snap::seal(
             Json::object()
                 .with("harts", self.harts.len())
-                .with("shared", self.shared.borrow().to_snap())
+                .with("shared", self.shared.borrow().encode())
                 .with("systems", systems),
         )
     }
 
-    /// Rebuilds a composition from a sealed snapshot document. Wiring
-    /// (the per-hart `Rc` links to the shared state) is re-established by
-    /// construction; only state is read from the snapshot.
+    /// Rebuilds a composition from a sealed snapshot document: each hart
+    /// is decoded as a new [`System`], then the SMP wiring (the per-hart
+    /// `Rc` link to the shared state, `mhartid`) is re-attached.
     ///
     /// # Errors
     ///
-    /// Fails on a broken envelope, hart-count disagreements, or any
-    /// malformed per-hart state.
+    /// Fails on a broken envelope, hart-count disagreements, harts of
+    /// mixed kind or preset, or any malformed per-hart state.
     pub fn from_snapshot(doc: &Json) -> Result<SmpSystem, SnapError> {
-        let state = snap::open(&doc.render())?;
-        let n = snap::get_usize(&state, "harts")?;
-        let systems = snap::get_array(&state, "systems")?;
-        if n == 0 || systems.len() != n {
-            return Err(SnapError::new(format!(
-                "smp: {} hart states for {n} harts",
-                systems.len()
-            )));
-        }
-        let shared = SmpShared::from_snap(snap::field(&state, "shared")?)?;
-        if shared.harts() != n {
-            return Err(SnapError::new("smp: shared state hart count disagrees"));
-        }
-        // Hart 0's payload self-describes kind and preset; `restore_snap`
-        // re-validates them per hart, so a mixed snapshot is rejected.
-        let kind_name = snap::get_str(&systems[0], "kind")?;
-        let kind = CoreKind::from_name(kind_name)
-            .ok_or_else(|| SnapError::new(format!("smp: unknown core kind `{kind_name}`")))?;
-        let preset_tag = snap::get_str(&systems[0], "preset")?;
-        let preset = Preset::from_tag(preset_tag)
-            .ok_or_else(|| SnapError::new(format!("smp: unknown preset `{preset_tag}`")))?;
-        let mut smp = SmpSystem::new(kind, preset, n);
+        let state = snap::verify(doc)?;
+        let n: usize = snap::get(state, "harts")?;
+        let shared: SmpShared = snap::get(state, "shared")?;
+        let systems = state
+            .get("systems")
+            .and_then(Json::as_array)
+            .ok_or_else(|| SnapError::new("systems: expected array"))?;
+        snap::ensure(n > 0 && systems.len() == n && shared.harts() == n, || {
+            format!(
+                "smp: {} hart states and {} shared slots for {n} harts",
+                systems.len(),
+                shared.harts()
+            )
+        })?;
+        let shared = Rc::new(RefCell::new(shared));
+        let mut harts = Vec::with_capacity(n);
         for (hart, sys_state) in systems.iter().enumerate() {
-            smp.harts[hart].restore_snap(sys_state)?;
+            let mut sys = System::from_state_snap(sys_state)
+                .map_err(|e| e.within(&format!("systems[{hart}]")))?;
+            snap::ensure(
+                harts.first().is_none_or(|h0: &System| {
+                    (h0.kind(), h0.preset()) == (sys.kind(), sys.preset())
+                }),
+                || format!("smp: hart {hart} differs in kind or preset from hart 0"),
+            )?;
+            sys.attach_smp(hart, Rc::clone(&shared));
+            harts.push(sys);
         }
-        *smp.shared.borrow_mut() = shared;
-        Ok(smp)
+        Ok(SmpSystem { harts, shared })
     }
 
     /// Runs in lockstep until hart 0 halts or `max_cycles` elapse.

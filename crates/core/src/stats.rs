@@ -18,6 +18,15 @@ pub struct SwitchRecord {
     pub cause: u32,
 }
 
+rvsim_snapshot::snap_fields! {
+    impl Snap for SwitchRecord {
+        "trigger" => trigger_cycle,
+        "entry" => entry_cycle,
+        "mret" => mret_cycle,
+        "cause" => cause,
+    }
+}
+
 impl SwitchRecord {
     /// Total context-switch latency in cycles (the paper's metric).
     pub fn latency(&self) -> u64 {

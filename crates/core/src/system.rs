@@ -4,7 +4,7 @@
 use crate::config::{Preset, RtosUnitConfig};
 use crate::cv32rt::Cv32rtUnit;
 use crate::events::TraceEvent;
-use crate::layout::{IMEM_BASE, IMEM_SIZE};
+use crate::layout::{DMEM_BASE, DMEM_SIZE, IMEM_BASE, IMEM_SIZE};
 use crate::platform::Platform;
 use crate::stats::{LatencyStats, SwitchRecord};
 use crate::unit::{RtosUnit, UnitStats};
@@ -13,7 +13,10 @@ use rvsim_cores::{
     FaultPlan, NullCoprocessor,
 };
 use rvsim_isa::{csr, Program};
-use rvsim_snapshot::{self as snap, Json, SnapError};
+use rvsim_snapshot::{
+    self as snap, snap_fields, Codec, Each, Json, MinusOneIsNone, Named, Opt, Rle, Snap, SnapError,
+    Tuple,
+};
 
 /// Default timer-tick period in cycles.
 pub const DEFAULT_TICK_PERIOD: u32 = 2000;
@@ -362,8 +365,21 @@ impl System {
         self.core.state.csrs.mip = mask;
 
         let out = self.core.step(&mut self.platform, self.unit.as_coproc());
-        match out.event {
-            Some(CoreEvent::InterruptEntered { cause }) => {
+        if let Some(event) = out.event {
+            self.track_episode(event, now);
+        }
+
+        self.unit
+            .as_coproc()
+            .step(&mut self.core.state, &mut self.platform);
+    }
+
+    /// Interrupt-episode bookkeeping for a core event observed at cycle
+    /// `now`: ISR entry opens an episode (and re-arms the auto-reset
+    /// timer), `mret` closes it into a [`SwitchRecord`].
+    fn track_episode(&mut self, event: CoreEvent, now: u64) {
+        match event {
+            CoreEvent::InterruptEntered { cause } => {
                 let trigger = self.pending_triggers[cause_slot(cause)]
                     .take()
                     .unwrap_or(now);
@@ -373,7 +389,7 @@ impl System {
                     self.platform.auto_reset_timer();
                 }
             }
-            Some(CoreEvent::MretRetired) => {
+            CoreEvent::MretRetired => {
                 self.platform.record(TraceEvent::MretRetired);
                 if let Some((trigger, entry, cause)) = self.open_episode.take() {
                     self.records.push(SwitchRecord {
@@ -386,10 +402,6 @@ impl System {
             }
             _ => {}
         }
-
-        self.unit
-            .as_coproc()
-            .step(&mut self.core.state, &mut self.platform);
     }
 
     /// How many upcoming cycles can run batched, and in which mode.
@@ -480,30 +492,8 @@ impl System {
                     budget,
                 )
             };
-            let now = self.platform.cycle();
-            match exit.event {
-                Some(CoreEvent::InterruptEntered { cause }) => {
-                    let trigger = self.pending_triggers[cause_slot(cause)]
-                        .take()
-                        .unwrap_or(now);
-                    self.open_episode = Some((trigger, now, cause));
-                    self.platform.record(TraceEvent::IsrEntry { cause });
-                    if cause == csr::CAUSE_TIMER && self.platform.mmio.auto_timer_reset {
-                        self.platform.auto_reset_timer();
-                    }
-                }
-                Some(CoreEvent::MretRetired) => {
-                    self.platform.record(TraceEvent::MretRetired);
-                    if let Some((trigger, entry, cause)) = self.open_episode.take() {
-                        self.records.push(SwitchRecord {
-                            trigger_cycle: trigger,
-                            entry_cycle: entry,
-                            mret_cycle: now,
-                            cause,
-                        });
-                    }
-                }
-                _ => {}
+            if let Some(event) = exit.event {
+                self.track_episode(event, self.platform.cycle());
             }
             // The exit cycle's unit step: a no-op unless the final cycle
             // entered an interrupt or executed a custom instruction —
@@ -529,61 +519,6 @@ impl System {
         snap::seal(self.state_snap())
     }
 
-    /// The unsealed state payload of [`snapshot`](Self::snapshot).
-    pub fn state_snap(&self) -> Json {
-        let records: Vec<Json> = self
-            .records
-            .iter()
-            .map(|r| {
-                Json::object()
-                    .with("trigger", r.trigger_cycle)
-                    .with("entry", r.entry_cycle)
-                    .with("mret", r.mret_cycle)
-                    .with("cause", r.cause)
-            })
-            .collect();
-        let triggers: Vec<Json> = self
-            .pending_triggers
-            .iter()
-            .map(|t| match t {
-                None => Json::Int(-1),
-                Some(c) => Json::UInt(*c),
-            })
-            .collect();
-        let open = match self.open_episode {
-            None => Json::Null,
-            Some((trigger, entry, cause)) => Json::object()
-                .with("trigger", trigger)
-                .with("entry", entry)
-                .with("cause", cause),
-        };
-        let unit = match &self.unit {
-            UnitBox::None(_) => Json::object().with("model", "none"),
-            UnitBox::Rtos(u) => Json::object()
-                .with("model", "rtos")
-                .with("state", u.to_snap()),
-            UnitBox::Cv32rt(u) => Json::object()
-                .with("model", "cv32rt")
-                .with("state", u.to_snap()),
-        };
-        Json::object()
-            .with("kind", self.kind.name())
-            .with("preset", self.preset.tag())
-            .with("core", self.core.to_snap())
-            .with("platform", self.platform.to_snap())
-            .with("unit", unit)
-            .with("records", records)
-            .with("prev_mask", self.prev_mask)
-            .with("pending_triggers", triggers)
-            .with("open_episode", open)
-            .with("ext_len", self.ext_schedule.len())
-            .with("ext_schedule", snap::longs_to_json(&self.ext_schedule))
-            .with(
-                "fault_plan",
-                self.fault_plan.as_ref().map_or(Json::Null, |p| p.to_snap()),
-            )
-    }
-
     /// Rebuilds a system from a sealed snapshot document (the output of
     /// [`snapshot`](Self::snapshot), parsed). The document is fully
     /// self-describing: core kind and preset are read from the payload.
@@ -593,133 +528,7 @@ impl System {
     /// Fails on a broken envelope, unknown kind/preset tags, or any
     /// malformed state field.
     pub fn from_snapshot(doc: &Json) -> Result<System, SnapError> {
-        let state = snap::open(&doc.render())?;
-        Self::from_state_snap(&state)
-    }
-
-    /// Rebuilds a system from an **unsealed** state payload.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown kind/preset tags or malformed state fields.
-    pub fn from_state_snap(state: &Json) -> Result<System, SnapError> {
-        let kind_name = snap::get_str(state, "kind")?;
-        let kind = CoreKind::from_name(kind_name)
-            .ok_or_else(|| SnapError::new(format!("system: unknown core kind `{kind_name}`")))?;
-        let preset_tag = snap::get_str(state, "preset")?;
-        let preset = Preset::from_tag(preset_tag)
-            .ok_or_else(|| SnapError::new(format!("system: unknown preset `{preset_tag}`")))?;
-        let mut sys = System::new(kind, preset);
-        sys.restore_snap(state)?;
-        Ok(sys)
-    }
-
-    /// Restores this system in place from a state payload. The snapshot
-    /// must describe the same core kind and preset this system was built
-    /// for. The SMP attachment (if any) is left untouched — per-hart
-    /// shared-bus state is restored by the composition.
-    ///
-    /// # Errors
-    ///
-    /// Fails on kind/preset mismatch or malformed state; the system is
-    /// left unchanged on error.
-    pub fn restore_snap(&mut self, state: &Json) -> Result<(), SnapError> {
-        let kind_name = snap::get_str(state, "kind")?;
-        if kind_name != self.kind.name() {
-            return Err(SnapError::new(format!(
-                "system: snapshot is for core `{kind_name}`, this system is `{}`",
-                self.kind.name()
-            )));
-        }
-        let preset_tag = snap::get_str(state, "preset")?;
-        if preset_tag != self.preset.tag() {
-            return Err(SnapError::new(format!(
-                "system: snapshot is for preset `{preset_tag}`, this system is `{}`",
-                self.preset.tag()
-            )));
-        }
-
-        let unit_doc = snap::field(state, "unit")?;
-        let unit = match snap::get_str(unit_doc, "model")? {
-            "none" => UnitBox::None(NullCoprocessor),
-            "rtos" => UnitBox::Rtos(RtosUnit::from_snap(snap::field(unit_doc, "state")?)?),
-            "cv32rt" => UnitBox::Cv32rt(Cv32rtUnit::from_snap(snap::field(unit_doc, "state")?)?),
-            m => return Err(SnapError::new(format!("system: unknown unit model `{m}`"))),
-        };
-        match (&unit, self.preset) {
-            (UnitBox::None(_), Preset::Vanilla) | (UnitBox::Cv32rt(_), Preset::Cv32rt) => {}
-            (UnitBox::Rtos(_), p) if RtosUnitConfig::from_preset(p).is_some() => {}
-            _ => {
-                return Err(SnapError::new(
-                    "system: unit model disagrees with the preset",
-                ))
-            }
-        }
-
-        let mut records = Vec::new();
-        for r in snap::get_array(state, "records")? {
-            records.push(SwitchRecord {
-                trigger_cycle: snap::get_u64(r, "trigger")?,
-                entry_cycle: snap::get_u64(r, "entry")?,
-                mret_cycle: snap::get_u64(r, "mret")?,
-                cause: snap::get_u32(r, "cause")?,
-            });
-        }
-        let triggers_doc = snap::get_array(state, "pending_triggers")?;
-        if triggers_doc.len() != 3 {
-            return Err(SnapError::new("system: pending_triggers must have 3 slots"));
-        }
-        let mut pending_triggers = [None; 3];
-        for (slot, t) in pending_triggers.iter_mut().zip(triggers_doc) {
-            *slot = match t {
-                Json::Int(-1) => None,
-                v => Some(
-                    v.as_u64()
-                        .ok_or_else(|| SnapError::new("system: malformed pending-trigger entry"))?,
-                ),
-            };
-        }
-        let open_episode = match snap::field(state, "open_episode")? {
-            Json::Null => None,
-            v => Some((
-                snap::get_u64(v, "trigger")?,
-                snap::get_u64(v, "entry")?,
-                snap::get_u32(v, "cause")?,
-            )),
-        };
-        let ext_len = snap::get_usize(state, "ext_len")?;
-        let ext_schedule = snap::longs_from_json(snap::field(state, "ext_schedule")?, ext_len)?;
-        let fault_plan = match snap::field(state, "fault_plan")? {
-            Json::Null => None,
-            v => Some(FaultPlan::from_snap(v)?),
-        };
-        let prev_mask = snap::get_u32(state, "prev_mask")?;
-
-        // Stage the two restore-in-place components on scratch copies so
-        // a failure below this point cannot leave `self` half-written.
-        let mut core = make_engine(self.kind, IMEM_BASE, IMEM_SIZE);
-        core.restore_snap(snap::field(state, "core")?)?;
-        let mut platform = Platform::new(self.kind, DEFAULT_TICK_PERIOD);
-        platform.restore_snap(snap::field(state, "platform")?)?;
-
-        // Commit. The platform's SMP attachment survives by restoring the
-        // staged platform's state *into* the live one field-by-field —
-        // `Platform::restore_snap` already does exactly that, so run it
-        // against `self.platform` now that it is known to succeed.
-        self.platform
-            .restore_snap(snap::field(state, "platform")?)
-            .expect("platform restore succeeded on the staged copy");
-        self.core = core;
-        self.unit = unit;
-        self.records = records;
-        self.prev_mask = prev_mask;
-        self.pending_triggers = pending_triggers;
-        self.open_episode = open_episode;
-        self.ext_schedule = ext_schedule;
-        self.fault_plan = fault_plan;
-        // mhartid is wiring, not snapshot state: keep the live value.
-        self.core.state.csrs.mhartid = self.platform.hart_id() as u32;
-        Ok(())
+        Self::from_state_snap(snap::verify(doc)?)
     }
 
     /// Cycle-by-cycle reference path: semantically identical to
@@ -738,6 +547,83 @@ impl System {
             RunExit::CyclesExhausted
         }
     }
+}
+
+snap_fields! {
+    // `state_snap` is the unsealed payload of [`System::snapshot`];
+    // `from_state_snap` decodes one engine (for the payload's core kind),
+    // one platform and one unit and assembles a new system from them. The
+    // SMP attachment is wiring, not state: a composition re-attaches it.
+    pub fn state_snap, pub fn from_state_snap() for System {
+        "kind" => kind: Named(CoreKind::name, CoreKind::from_name),
+        "preset" => preset: Named(Preset::tag, Preset::from_tag),
+        "core" => core: Engine(kind.timing()),
+        "platform" => platform,
+        "unit" => unit,
+        "records" => records,
+        "prev_mask" => prev_mask,
+        "pending_triggers" => pending_triggers: Each(MinusOneIsNone),
+        "open_episode" => open_episode: Opt(Tuple(&["trigger", "entry", "cause"])),
+        "ext_len" => let ext_len: usize = ext_schedule.len(),
+        "ext_schedule" => ext_schedule: Rle(ext_len),
+        "fault_plan" => fault_plan,
+        check => check_unit_model(unit, *preset),
+        check => snap::ensure(
+            core.imem_bounds() == (IMEM_BASE, IMEM_BASE + IMEM_SIZE)
+                && (platform.dmem.base(), platform.dmem.end()) == (DMEM_BASE, DMEM_BASE + DMEM_SIZE),
+            || "system: memory geometry disagrees with the layout".into(),
+        ),
+    }
+}
+
+/// The engine for a core model's timing parameters.
+struct Engine(rvsim_cores::TimingParams);
+
+impl Codec<CoreEngine> for Engine {
+    fn encode(&self, core: &CoreEngine) -> Json {
+        core.to_snap()
+    }
+
+    fn decode(&self, value: &Json) -> Result<CoreEngine, SnapError> {
+        CoreEngine::from_snap(value, &self.0)
+    }
+}
+
+/// Hand-written: the attached unit is an enum whose payload depends on the
+/// model tag.
+impl Snap for UnitBox {
+    fn encode(&self) -> Json {
+        match self {
+            UnitBox::None(_) => Json::object().with("model", "none"),
+            UnitBox::Rtos(u) => Json::object()
+                .with("model", "rtos")
+                .with("state", u.encode()),
+            UnitBox::Cv32rt(u) => Json::object()
+                .with("model", "cv32rt")
+                .with("state", u.encode()),
+        }
+    }
+
+    fn decode(value: &Json) -> Result<UnitBox, SnapError> {
+        match snap::get::<String>(value, "model")?.as_str() {
+            "none" => Ok(UnitBox::None(NullCoprocessor)),
+            "rtos" => snap::get(value, "state").map(UnitBox::Rtos),
+            "cv32rt" => snap::get(value, "state").map(UnitBox::Cv32rt),
+            m => Err(SnapError::new(format!("system: unknown unit model `{m}`"))),
+        }
+    }
+}
+
+/// The attached unit model is the one the preset calls for.
+fn check_unit_model(unit: &UnitBox, preset: Preset) -> Result<(), SnapError> {
+    let fits = match unit {
+        UnitBox::None(_) => preset == Preset::Vanilla,
+        UnitBox::Cv32rt(_) => preset == Preset::Cv32rt,
+        UnitBox::Rtos(_) => RtosUnitConfig::from_preset(preset).is_some(),
+    };
+    snap::ensure(fits, || {
+        "system: unit model disagrees with the preset".into()
+    })
 }
 
 impl std::fmt::Debug for System {
@@ -913,11 +799,48 @@ mod tests {
         sys.load_program(&simple_isr_program());
         sys.run(200);
         let state = sys.state_snap();
-        let mut other = System::new(CoreKind::Cva6, Preset::Vanilla);
-        assert!(other.restore_snap(&state).is_err(), "core kind mismatch");
-        let mut other = System::new(CoreKind::Cv32e40p, Preset::Slt);
-        assert!(other.restore_snap(&state).is_err(), "preset mismatch");
-        assert_eq!(other.platform.cycle(), 0, "failed restore left it alone");
+        let with = |key: &str, value: &str| {
+            let mut s = state.clone();
+            if let Json::Object(pairs) = &mut s {
+                for (k, v) in pairs.iter_mut() {
+                    if k == key {
+                        *v = Json::from(value);
+                    }
+                }
+            }
+            s
+        };
+        let err = System::from_state_snap(&with("kind", "Z80")).unwrap_err();
+        assert_eq!(err.context, "kind: unknown name `Z80`");
+        let err = System::from_state_snap(&with("preset", "slt")).unwrap_err();
+        assert_eq!(err.context, "system: unit model disagrees with the preset");
+        // A payload for one core kind cannot restore another core's engine.
+        let err = System::from_state_snap(&with("kind", CoreKind::Cva6.name())).unwrap_err();
+        assert!(
+            err.context
+                .starts_with("core.core: engine: snapshot of core"),
+            "{err}"
+        );
+        assert!(System::from_state_snap(&state).is_ok());
+        // An engine whose instruction memory does not match the layout.
+        let mut small = state.clone();
+        if let Some(Json::Object(core)) = match &mut small {
+            Json::Object(pairs) => pairs.iter_mut().find(|(k, _)| k == "core").map(|(_, v)| v),
+            _ => None,
+        } {
+            for (k, v) in core.iter_mut() {
+                match k.as_str() {
+                    "imem" => *v = rvsim_mem::Mem::new(IMEM_BASE, 0x1000).encode(),
+                    "decoded" => *v = snap::rle_encode([0u32; 0x1000 / 4 / 32]),
+                    _ => {}
+                }
+            }
+        }
+        let err = System::from_state_snap(&small).unwrap_err();
+        assert_eq!(
+            err.context,
+            "system: memory geometry disagrees with the layout"
+        );
 
         // A corrupted sealed document must fail the digest check.
         let doc = sys.snapshot();

@@ -23,7 +23,9 @@ use crate::layout::{ctx_reg, ctx_word_addr, CTX_MEPC_IDX, CTX_MSTATUS_IDX, CTX_W
 use crate::scheduler::HwScheduler;
 use rvsim_cores::{ArchState, Bank, Coprocessor, DataBus};
 use rvsim_isa::{csr, CustomOp};
-use rvsim_snapshot::{self as snap, Json, SnapError};
+use rvsim_snapshot::{
+    self as snap, snap_fields, Each, MinusOneIsNone, Rle, SnapError, Tags, Tuple,
+};
 
 /// Activity counters used by the tests and the power model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -271,230 +273,86 @@ impl RtosUnit {
             self.restore_word = 0;
         }
     }
+}
 
-    /// Serializes the unit — configuration, scheduler, semaphores, every
-    /// FSM cursor, the preload buffer and the counters — for a
-    /// machine-state snapshot.
-    pub fn to_snap(&self) -> Json {
-        let cfg = Json::object()
-            .with("store", self.cfg.store)
-            .with("load", self.cfg.load)
-            .with("sched", self.cfg.sched)
-            .with("dirty_bits", self.cfg.dirty_bits)
-            .with("load_omission", self.cfg.load_omission)
-            .with("preload", self.cfg.preload)
-            .with("hw_sync", self.cfg.hw_sync)
-            .with("list_len", self.cfg.list_len);
-        let sems: Vec<Json> = self
-            .sems
-            .iter()
-            .map(|s| {
-                let waiters: Vec<Json> = s
-                    .waiters
-                    .iter()
-                    .map(|&(task, prio)| {
-                        Json::object()
-                            .with("task", u32::from(task))
-                            .with("prio", u32::from(prio))
-                    })
-                    .collect();
-                Json::object()
-                    .with("count", s.count)
-                    .with("waiters", waiters)
-            })
-            .collect();
-        let mut stats = Json::object();
-        for (name, value) in self.stats_named() {
-            stats.push(name, value);
-        }
-        Json::object()
-            .with("cfg", cfg)
-            .with(
-                "sched",
-                self.sched.as_ref().map_or(Json::Null, |s| s.to_snap()),
-            )
-            .with("sems", sems)
-            .with("current_id", u32::from(self.current_id))
-            .with(
-                "pending_next",
-                match self.pending_next {
-                    None => Json::Int(-1),
-                    Some(id) => Json::UInt(u64::from(id)),
-                },
-            )
-            .with("in_isr", self.in_isr)
-            .with("store_active", self.store_active)
-            .with("store_draining", self.store_draining)
-            .with("store_word", self.store_word)
-            .with("store_mask", self.store_mask)
-            .with(
-                "restore_mode",
-                match self.restore_mode {
-                    RestoreMode::None => "none",
-                    RestoreMode::Memory => "memory",
-                    RestoreMode::Lockstep => "lockstep",
-                    RestoreMode::Omitted => "omitted",
-                },
-            )
-            .with("restore_pending", self.restore_pending)
-            .with("restore_active", self.restore_active)
-            .with("restore_draining", self.restore_draining)
-            .with("restore_word", self.restore_word)
-            .with("restore_id", u32::from(self.restore_id))
-            .with("preload_buf", snap::words_to_json(&self.preload_buf))
-            .with(
-                "preload_id",
-                match self.preload_id {
-                    None => Json::Int(-1),
-                    Some(id) => Json::UInt(u64::from(id)),
-                },
-            )
-            .with("preload_word", self.preload_word)
-            .with("stats", stats)
+snap_fields! {
+    impl Snap for UnitStats {
+        "interrupts" => interrupts,
+        "store_words" => store_words,
+        "load_words" => load_words,
+        "preload_words" => preload_words,
+        "preload_hits" => preload_hits,
+        "preload_misses" => preload_misses,
+        "omitted_loads" => omitted_loads,
+        "custom_instrs" => custom_instrs,
+        "store_stall_cycles" => store_stall_cycles,
+        "load_stall_cycles" => load_stall_cycles,
+        "sem_takes" => sem_takes,
+        "sem_blocks" => sem_blocks,
+        "sem_gives" => sem_gives,
     }
+}
 
-    /// `(name, value)` pairs of the activity counters in a stable order.
-    fn stats_named(&self) -> [(&'static str, u64); 13] {
-        let s = &self.stats;
-        [
-            ("interrupts", s.interrupts),
-            ("store_words", s.store_words),
-            ("load_words", s.load_words),
-            ("preload_words", s.preload_words),
-            ("preload_hits", s.preload_hits),
-            ("preload_misses", s.preload_misses),
-            ("omitted_loads", s.omitted_loads),
-            ("custom_instrs", s.custom_instrs),
-            ("store_stall_cycles", s.store_stall_cycles),
-            ("load_stall_cycles", s.load_stall_cycles),
-            ("sem_takes", s.sem_takes),
-            ("sem_blocks", s.sem_blocks),
-            ("sem_gives", s.sem_gives),
-        ]
+snap_fields! {
+    impl Snap for HwSemaphore {
+        "count" => count,
+        "waiters" => waiters: Each(Tuple(&["task", "prio"])),
     }
+}
 
-    /// Rebuilds the unit from [`to_snap`](Self::to_snap) output,
-    /// configuration included.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed fields, an invalid configuration, or cursors
-    /// beyond the context size.
-    pub fn from_snap(value: &Json) -> Result<RtosUnit, SnapError> {
-        let c = snap::field(value, "cfg")?;
-        let cfg = RtosUnitConfig {
-            store: snap::get_bool(c, "store")?,
-            load: snap::get_bool(c, "load")?,
-            sched: snap::get_bool(c, "sched")?,
-            dirty_bits: snap::get_bool(c, "dirty_bits")?,
-            load_omission: snap::get_bool(c, "load_omission")?,
-            preload: snap::get_bool(c, "preload")?,
-            hw_sync: snap::get_bool(c, "hw_sync")?,
-            list_len: snap::get_usize(c, "list_len")?,
-        };
-        cfg.validate()
-            .map_err(|e| SnapError::new(format!("unit: invalid configuration: {e}")))?;
-        let sched = match snap::field(value, "sched")? {
-            Json::Null => None,
-            v => Some(HwScheduler::from_snap(v)?),
-        };
-        if sched.is_some() != cfg.sched {
-            return Err(SnapError::new(
-                "unit: scheduler presence disagrees with cfg",
-            ));
-        }
-        if let Some(s) = &sched {
-            if s.capacity() != cfg.list_len {
-                return Err(SnapError::new(
-                    "unit: scheduler capacity disagrees with cfg",
-                ));
-            }
-        }
-        let mut sems = Vec::new();
-        for s in snap::get_array(value, "sems")? {
-            let mut waiters = Vec::new();
-            for w in snap::get_array(s, "waiters")? {
-                waiters.push((snap::get_u8(w, "task")?, snap::get_u8(w, "prio")?));
-            }
-            sems.push(HwSemaphore {
-                count: snap::get_u32(s, "count")?,
-                waiters,
-            });
-        }
-        if cfg.hw_sync != (sems.len() == 8) {
-            return Err(SnapError::new("unit: semaphore bank disagrees with cfg"));
-        }
-        let opt_id = |key: &str| -> Result<Option<u8>, SnapError> {
-            match snap::field(value, key)? {
-                Json::Int(-1) => Ok(None),
-                j => j
-                    .as_u64()
-                    .and_then(|v| u8::try_from(v).ok())
-                    .map(Some)
-                    .ok_or_else(|| SnapError::new(format!("unit: bad task id in `{key}`"))),
-            }
-        };
-        let restore_mode = match snap::get_str(value, "restore_mode")? {
-            "none" => RestoreMode::None,
-            "memory" => RestoreMode::Memory,
-            "lockstep" => RestoreMode::Lockstep,
-            "omitted" => RestoreMode::Omitted,
-            other => {
-                return Err(SnapError::new(format!(
-                    "unit: unknown restore mode `{other}`"
-                )))
-            }
-        };
-        let bounded = |key: &str| -> Result<usize, SnapError> {
-            let w = snap::get_usize(value, key)?;
-            if w > CTX_WORDS {
-                return Err(SnapError::new(format!(
-                    "unit: `{key}` cursor {w} beyond context"
-                )));
-            }
-            Ok(w)
-        };
-        let words = snap::words_from_json(snap::field(value, "preload_buf")?, CTX_WORDS)?;
-        let mut preload_buf = [0u32; CTX_WORDS];
-        preload_buf.copy_from_slice(&words);
-        let st = snap::field(value, "stats")?;
-        Ok(RtosUnit {
-            cfg,
-            sched,
-            sems,
-            current_id: snap::get_u8(value, "current_id")?,
-            pending_next: opt_id("pending_next")?,
-            in_isr: snap::get_bool(value, "in_isr")?,
-            store_active: snap::get_bool(value, "store_active")?,
-            store_draining: snap::get_bool(value, "store_draining")?,
-            store_word: bounded("store_word")?,
-            store_mask: snap::get_u32(value, "store_mask")?,
-            restore_mode,
-            restore_pending: snap::get_bool(value, "restore_pending")?,
-            restore_active: snap::get_bool(value, "restore_active")?,
-            restore_draining: snap::get_bool(value, "restore_draining")?,
-            restore_word: bounded("restore_word")?,
-            restore_id: snap::get_u8(value, "restore_id")?,
-            preload_buf,
-            preload_id: opt_id("preload_id")?,
-            preload_word: bounded("preload_word")?,
-            stats: UnitStats {
-                interrupts: snap::get_u64(st, "interrupts")?,
-                store_words: snap::get_u64(st, "store_words")?,
-                load_words: snap::get_u64(st, "load_words")?,
-                preload_words: snap::get_u64(st, "preload_words")?,
-                preload_hits: snap::get_u64(st, "preload_hits")?,
-                preload_misses: snap::get_u64(st, "preload_misses")?,
-                omitted_loads: snap::get_u64(st, "omitted_loads")?,
-                custom_instrs: snap::get_u64(st, "custom_instrs")?,
-                store_stall_cycles: snap::get_u64(st, "store_stall_cycles")?,
-                load_stall_cycles: snap::get_u64(st, "load_stall_cycles")?,
-                sem_takes: snap::get_u64(st, "sem_takes")?,
-                sem_blocks: snap::get_u64(st, "sem_blocks")?,
-                sem_gives: snap::get_u64(st, "sem_gives")?,
-            },
-        })
+snap_fields! {
+    // Configuration, scheduler, semaphores, every FSM cursor, the preload
+    // buffer and the counters.
+    impl Snap for RtosUnit {
+        "cfg" => cfg,
+        "sched" => sched,
+        "sems" => sems,
+        "current_id" => current_id,
+        "pending_next" => pending_next: MinusOneIsNone,
+        "in_isr" => in_isr,
+        "store_active" => store_active,
+        "store_draining" => store_draining,
+        "store_word" => store_word,
+        "store_mask" => store_mask,
+        "restore_mode" => restore_mode: Tags(&[
+            ("none", RestoreMode::None),
+            ("memory", RestoreMode::Memory),
+            ("lockstep", RestoreMode::Lockstep),
+            ("omitted", RestoreMode::Omitted),
+        ]),
+        "restore_pending" => restore_pending,
+        "restore_active" => restore_active,
+        "restore_draining" => restore_draining,
+        "restore_word" => restore_word,
+        "restore_id" => restore_id,
+        "preload_buf" => preload_buf: Rle(CTX_WORDS),
+        "preload_id" => preload_id: MinusOneIsNone,
+        "preload_word" => preload_word,
+        "stats" => stats,
+        check => check_unit(cfg, sched.as_ref(), sems.len()),
+        check => snap::ensure(
+            [store_word, restore_word, preload_word].iter().all(|&&w| w <= CTX_WORDS),
+            || "unit: FSM cursor beyond context".into(),
+        ),
     }
+}
+
+/// The scheduler and semaphore bank exist exactly when the configuration
+/// asks for them, at the configured capacity.
+fn check_unit(
+    cfg: &RtosUnitConfig,
+    sched: Option<&HwScheduler>,
+    sems: usize,
+) -> Result<(), SnapError> {
+    snap::ensure(sched.is_some() == cfg.sched, || {
+        "unit: scheduler presence disagrees with cfg".into()
+    })?;
+    snap::ensure(sched.is_none_or(|s| s.capacity() == cfg.list_len), || {
+        "unit: scheduler capacity disagrees with cfg".into()
+    })?;
+    snap::ensure(cfg.hw_sync == (sems == 8), || {
+        "unit: semaphore bank disagrees with cfg".into()
+    })
 }
 
 impl Coprocessor for RtosUnit {

@@ -52,7 +52,9 @@ use rvsim_isa::instr::LoadOp;
 use rvsim_isa::uop::{fuse, lower, Uop, UopSrc};
 use rvsim_isa::{csr, decode, CsrOp, Instr, Reg};
 use rvsim_mem::{AccessSize, Mem};
-use rvsim_snapshot::{self as snap, Json, SnapError};
+use rvsim_snapshot::{
+    self as snap, snap_fields, Codec, Each, Json, Opt, Rle, RleAny, SnapError, SortedMap,
+};
 use std::collections::HashMap;
 
 /// Longest block, in instruction words. Long enough to cover real ISR
@@ -220,138 +222,6 @@ impl BlockCache {
         self.stats.clear();
     }
 
-    /// Serializes the cache *layout* for a machine-state snapshot: the
-    /// entry map (including fallback marks), each live slot's identity
-    /// and lifetime counters, the free list, and the folded per-PC
-    /// statistics (sorted by entry PC — `HashMap` iteration order must
-    /// never leak into a snapshot). Translations themselves are not
-    /// stored: they are a deterministic function of the instruction
-    /// memory and are rebuilt by [`from_snap`](Self::from_snap).
-    pub(crate) fn to_snap(&self) -> Json {
-        let slots: Vec<Json> = self
-            .blocks
-            .iter()
-            .map(|b| match b {
-                None => Json::Null,
-                Some(b) => Json::object()
-                    .with("start", b.start)
-                    .with("len", b.instrs.len())
-                    .with("warm", b.warm)
-                    .with("execs", b.execs)
-                    .with("fused_execs", b.fused_execs),
-            })
-            .collect();
-        let mut pcs: Vec<u32> = self.stats.keys().copied().collect();
-        pcs.sort_unstable();
-        let stats: Vec<Json> = pcs
-            .iter()
-            .map(|pc| {
-                let s = self.stats[pc];
-                Json::object()
-                    .with("pc", *pc)
-                    .with("builds", s.builds)
-                    .with("execs", s.execs)
-                    .with("fused", s.fused)
-            })
-            .collect();
-        Json::object()
-            .with("base", self.base)
-            .with("map", snap::words_to_json(&self.map))
-            .with("slots", slots)
-            .with("free", snap::words_to_json(&self.free))
-            .with("free_len", self.free.len())
-            .with("stats", stats)
-    }
-
-    /// Rebuilds the cache from [`to_snap`](Self::to_snap) output by
-    /// retranslating every live slot from the restored instruction
-    /// memory — through the pure [`build_block`] path, so no counter or
-    /// statistic is bumped and the slot layout, free list and map come
-    /// out exactly as snapshotted.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed fields, an IMEM-geometry mismatch, or a slot
-    /// whose entry PC no longer translates to a block of the recorded
-    /// length (the snapshot and instruction memory disagree).
-    pub(crate) fn from_snap(
-        value: &Json,
-        params: &TimingParams,
-        imem: &Mem,
-    ) -> Result<BlockCache, SnapError> {
-        let base = snap::get_u32(value, "base")?;
-        if base != imem.base() {
-            return Err(SnapError::new(format!(
-                "block cache: base {base:#010x} does not match imem base {:#010x}",
-                imem.base()
-            )));
-        }
-        let map_len = (imem.end() - base).div_ceil(4) as usize;
-        let map = snap::words_from_json(snap::field(value, "map")?, map_len)?;
-        let slots = snap::get_array(value, "slots")?;
-        let mut blocks: Vec<Option<Block>> = Vec::with_capacity(slots.len());
-        for (slot, entry) in slots.iter().enumerate() {
-            if matches!(entry, Json::Null) {
-                blocks.push(None);
-                continue;
-            }
-            let start = snap::get_u32(entry, "start")?;
-            let len = snap::get_usize(entry, "len")?;
-            let mut block = build_block(params, imem, start).ok_or_else(|| {
-                SnapError::new(format!(
-                    "block cache: slot {slot} entry {start:#010x} no longer translates"
-                ))
-            })?;
-            if block.instrs.len() != len {
-                return Err(SnapError::new(format!(
-                    "block cache: slot {slot} entry {start:#010x} rebuilt as {} words, snapshot recorded {len}",
-                    block.instrs.len()
-                )));
-            }
-            block.warm = snap::get_bool(entry, "warm")?;
-            block.execs = snap::get_u64(entry, "execs")?;
-            block.fused_execs = snap::get_u64(entry, "fused_execs")?;
-            blocks.push(Some(block));
-        }
-        for (idx, &m) in map.iter().enumerate() {
-            if m != MAP_NONE
-                && m != MAP_FALLBACK
-                && blocks.get(m as usize).is_none_or(|b| b.is_none())
-            {
-                return Err(SnapError::new(format!(
-                    "block cache: map word {idx} points at dead slot {m}"
-                )));
-            }
-        }
-        let free_len = snap::get_usize(value, "free_len")?;
-        let free = snap::words_from_json(snap::field(value, "free")?, free_len)?;
-        if free
-            .iter()
-            .any(|&s| blocks.get(s as usize).is_none_or(|b| b.is_some()))
-        {
-            return Err(SnapError::new("block cache: free list names a live slot"));
-        }
-        let mut stats = HashMap::new();
-        for entry in snap::get_array(value, "stats")? {
-            let pc = snap::get_u32(entry, "pc")?;
-            stats.insert(
-                pc,
-                PcStats {
-                    builds: snap::get_u64(entry, "builds")?,
-                    execs: snap::get_u64(entry, "execs")?,
-                    fused: snap::get_u64(entry, "fused")?,
-                },
-            );
-        }
-        Ok(BlockCache {
-            base,
-            map,
-            blocks,
-            free,
-            stats,
-        })
-    }
-
     /// Folded + live statistics for blocks entered in `[start, end]`.
     pub(crate) fn stats_in(&self, start: u32, end: u32) -> BlockStats {
         let mut out = BlockStats::default();
@@ -370,6 +240,99 @@ impl BlockCache {
             }
         }
         out
+    }
+}
+
+snap_fields! {
+    impl Snap for PcStats {
+        "builds" => builds,
+        "execs" => execs,
+        "fused" => fused,
+    }
+}
+
+snap_fields! {
+    // The cache *layout*: the entry map (including fallback marks), each
+    // live slot's identity and lifetime counters, the free list, and the
+    // folded per-PC statistics (sorted by entry PC — `HashMap` iteration
+    // order must never leak into a snapshot). Translations themselves are
+    // not stored: decoding retranslates every live slot from the
+    // instruction memory through the pure [`build_block`] path, so no
+    // counter or statistic is bumped and the slot layout, free list and
+    // map come out exactly as snapshotted.
+    pub(crate) fn to_snap, pub(crate) fn from_snap(params: &TimingParams, imem: &Mem) for BlockCache {
+        "base" => base,
+        "map" => map: Rle(((imem.end() - imem.base()) / 4) as usize),
+        "slots" => blocks: Each(Opt(Slot(params, imem))),
+        "free" => free: RleAny,
+        "free_len" => let free_len: usize = free.len(),
+        "stats" => stats: SortedMap("pc"),
+        check => snap::ensure(*base == imem.base(), || {
+            format!(
+                "block cache: base {base:#010x} does not match imem base {:#010x}",
+                imem.base()
+            )
+        }),
+        check => snap::ensure(free_len == free.len(), || {
+            "block cache: free_len disagrees with the free list".into()
+        }),
+        check => check_layout(map, blocks, free),
+    }
+}
+
+/// The map names only live slots and the free list only dead ones.
+fn check_layout(map: &[u32], blocks: &[Option<Block>], free: &[u32]) -> Result<(), SnapError> {
+    let live = |s: u32| blocks.get(s as usize).is_some_and(Option::is_some);
+    if let Some(idx) = map
+        .iter()
+        .position(|&m| m != MAP_NONE && m != MAP_FALLBACK && !live(m))
+    {
+        return Err(SnapError::new(format!(
+            "block cache: map word {idx} points at dead slot {}",
+            map[idx]
+        )));
+    }
+    snap::ensure(
+        free.iter()
+            .all(|&s| (s as usize) < blocks.len() && !live(s)),
+        || "block cache: free list names a live slot".into(),
+    )
+}
+
+/// One live slot: its entry PC, length and lifetime counters. Hand-written
+/// because the translation is rebuilt from the instruction memory, not
+/// stored; a slot that no longer translates to the recorded length means
+/// the snapshot and instruction memory disagree.
+struct Slot<'a>(&'a TimingParams, &'a Mem);
+
+impl Codec<Block> for Slot<'_> {
+    fn encode(&self, b: &Block) -> Json {
+        Json::object()
+            .with("start", b.start)
+            .with("len", b.instrs.len())
+            .with("warm", b.warm)
+            .with("execs", b.execs)
+            .with("fused_execs", b.fused_execs)
+    }
+
+    fn decode(&self, value: &Json) -> Result<Block, SnapError> {
+        let start: u32 = snap::get(value, "start")?;
+        let len: usize = snap::get(value, "len")?;
+        let mut block = build_block(self.0, self.1, start).ok_or_else(|| {
+            SnapError::new(format!(
+                "block cache: entry {start:#010x} no longer translates"
+            ))
+        })?;
+        snap::ensure(block.instrs.len() == len, || {
+            format!(
+                "block cache: entry {start:#010x} rebuilt as {} words, snapshot recorded {len}",
+                block.instrs.len()
+            )
+        })?;
+        block.warm = snap::get(value, "warm")?;
+        block.execs = snap::get(value, "execs")?;
+        block.fused_execs = snap::get(value, "fused_execs")?;
+        Ok(block)
     }
 }
 

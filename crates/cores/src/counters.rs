@@ -10,7 +10,7 @@
 //! Counters are plain integers, always on (a handful of adds per
 //! retired instruction), and read out as a [`CoreCounters`] snapshot.
 
-use rvsim_snapshot::{self as snap, Json, SnapError};
+use rvsim_snapshot::snap_fields;
 
 /// Snapshot of one engine's activity counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -95,38 +95,24 @@ impl CoreCounters {
             ..*self
         }
     }
+}
 
-    /// Serializes every counter (stable [`named`](Self::named) order) for
-    /// a machine-state snapshot.
-    pub fn to_snap(&self) -> Json {
-        let mut obj = Json::object();
-        for (name, value) in self.named() {
-            obj.push(name, value);
-        }
-        obj
-    }
-
-    /// Rebuilds the counters from [`to_snap`](Self::to_snap) output.
-    ///
-    /// # Errors
-    ///
-    /// Fails on missing or non-integer fields.
-    pub fn from_snap(value: &Json) -> Result<CoreCounters, SnapError> {
-        Ok(CoreCounters {
-            decode_hits: snap::get_u64(value, "decode_hits")?,
-            decode_misses: snap::get_u64(value, "decode_misses")?,
-            issued_pairs: snap::get_u64(value, "issued_pairs")?,
-            stall_exec: snap::get_u64(value, "stall_exec")?,
-            stall_mem: snap::get_u64(value, "stall_mem")?,
-            stall_control: snap::get_u64(value, "stall_control")?,
-            stall_irq_entry: snap::get_u64(value, "stall_irq_entry")?,
-            stall_mret: snap::get_u64(value, "stall_mret")?,
-            stall_coproc: snap::get_u64(value, "stall_coproc")?,
-            wfi_cycles: snap::get_u64(value, "wfi_cycles")?,
-            block_hits: snap::get_u64(value, "block_hits")?,
-            block_builds: snap::get_u64(value, "block_builds")?,
-            fused_ops: snap::get_u64(value, "fused_ops")?,
-        })
+snap_fields! {
+    // Every counter, in the stable [`CoreCounters::named`] order.
+    impl Snap for CoreCounters {
+        "decode_hits" => decode_hits,
+        "decode_misses" => decode_misses,
+        "issued_pairs" => issued_pairs,
+        "stall_exec" => stall_exec,
+        "stall_mem" => stall_mem,
+        "stall_control" => stall_control,
+        "stall_irq_entry" => stall_irq_entry,
+        "stall_mret" => stall_mret,
+        "stall_coproc" => stall_coproc,
+        "wfi_cycles" => wfi_cycles,
+        "block_hits" => block_hits,
+        "block_builds" => block_builds,
+        "fused_ops" => fused_ops,
     }
 }
 

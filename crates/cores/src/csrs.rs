@@ -1,7 +1,7 @@
 //! Machine-mode CSR file.
 
 use rvsim_isa::csr;
-use rvsim_snapshot::{self as snap, Json, SnapError};
+use rvsim_snapshot::snap_fields;
 
 /// The machine-mode CSRs used by the FreeRTOS execution scenario.
 ///
@@ -103,38 +103,19 @@ impl Csrs {
         self.mstatus = (self.mstatus & !csr::MSTATUS_MIE) | (mpie << 3) | csr::MSTATUS_MPIE;
         self.mepc
     }
+}
 
-    /// Serializes every CSR field for a machine-state snapshot.
-    pub fn to_snap(&self) -> Json {
-        Json::object()
-            .with("mstatus", self.mstatus)
-            .with("mie", self.mie)
-            .with("mip", self.mip)
-            .with("mtvec", self.mtvec)
-            .with("mepc", self.mepc)
-            .with("mcause", self.mcause)
-            .with("mscratch", self.mscratch)
-            .with("mcycle", self.mcycle)
-            .with("mhartid", self.mhartid)
-    }
-
-    /// Rebuilds the CSR file from [`to_snap`](Self::to_snap) output.
-    ///
-    /// # Errors
-    ///
-    /// Fails on missing or non-integer fields.
-    pub fn from_snap(value: &Json) -> Result<Csrs, SnapError> {
-        Ok(Csrs {
-            mstatus: snap::get_u32(value, "mstatus")?,
-            mie: snap::get_u32(value, "mie")?,
-            mip: snap::get_u32(value, "mip")?,
-            mtvec: snap::get_u32(value, "mtvec")?,
-            mepc: snap::get_u32(value, "mepc")?,
-            mcause: snap::get_u32(value, "mcause")?,
-            mscratch: snap::get_u32(value, "mscratch")?,
-            mcycle: snap::get_u32(value, "mcycle")?,
-            mhartid: snap::get_u32(value, "mhartid")?,
-        })
+snap_fields! {
+    impl Snap for Csrs {
+        "mstatus" => mstatus,
+        "mie" => mie,
+        "mip" => mip,
+        "mtvec" => mtvec,
+        "mepc" => mepc,
+        "mcause" => mcause,
+        "mscratch" => mscratch,
+        "mcycle" => mcycle,
+        "mhartid" => mhartid,
     }
 }
 

@@ -16,7 +16,7 @@ use crate::state::ArchState;
 use crate::timing::TimingParams;
 use rvsim_isa::{decode, disassemble, Instr, Program};
 use rvsim_mem::{AccessSize, Mem};
-use rvsim_snapshot::{self as snap, Json, SnapError};
+use rvsim_snapshot::{self as snap, snap_fields, Boxed, Codec, Json, Opt, Rle, SnapError, Tags};
 
 /// Response of the data bus to a core access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -314,7 +314,7 @@ impl CoreEngine {
             halted: false,
             cycle: 0,
             retired: 0,
-            predictor: vec![1; 256],
+            predictor: vec![1; PREDICTOR_LEN],
             trace: RetireRing::new(64),
             counters: CoreCounters::default(),
             profiler: None,
@@ -358,6 +358,11 @@ impl CoreEngine {
     pub fn write_imem_word(&mut self, addr: u32, word: u32) {
         self.imem.write_word(addr, word);
         self.invalidate_decoded(addr);
+    }
+
+    /// `(base, end)` byte addresses of the instruction memory.
+    pub fn imem_bounds(&self) -> (u32, u32) {
+        (self.imem.base(), self.imem.end())
     }
 
     /// Reads one instruction-memory word, or `None` outside IMEM. Fault
@@ -1102,178 +1107,137 @@ impl CoreEngine {
     /// The per-word decode cache and the block translations are
     /// recorded as *layout* (which slots are filled), not contents:
     /// both are deterministic functions of the instruction memory, and
-    /// [`restore_snap`](Self::restore_snap) rebuilds them bit-exactly
-    /// through non-counting paths.
+    /// [`from_snap`](Self::from_snap) rebuilds them bit-exactly through
+    /// non-counting paths.
     pub fn to_snap(&self) -> Json {
-        let mut bitmap = vec![0u32; self.decoded.len().div_ceil(32)];
-        for (i, d) in self.decoded.iter().enumerate() {
+        self.encode_with(&self.params)
+    }
+}
+
+/// Entries of the two-bit branch predictor table.
+const PREDICTOR_LEN: usize = 256;
+
+snap_fields! {
+    // `from_snap` builds a new engine for the core model `params` (the
+    // document names the model; a different one is an error). Decode
+    // entries and block translations are rebuilt from the decoded
+    // instruction memory through non-counting paths, so the engine is
+    // cycle-for-cycle and counter-for-counter identical to one that never
+    // stopped.
+    fn encode_with, pub fn from_snap(params: &TimingParams) for CoreEngine {
+        "core" => params: SameCore(params),
+        "state" => state,
+        "imem" => imem,
+        "decoded" => decoded: DecodeMap(&imem),
+        "busy" => busy,
+        "completing" => completing: Tags(&[
+            ("plain", Completing::Plain),
+            ("mret", Completing::Mret),
+        ]),
+        "wfi_wait" => wfi_wait,
+        "wfi_pc" => wfi_pc,
+        "halted" => halted,
+        "cycle" => cycle,
+        "retired" => retired,
+        "predictor" => predictor: Rle(PREDICTOR_LEN),
+        "trace" => trace,
+        "counters" => counters,
+        "profile" => profiler,
+        "blocks" => blocks: Opt(Boxed(Blocks(&params, &imem))),
+        check => snap::ensure(predictor.iter().all(|&v| v <= 3), || {
+            "engine: predictor counter out of range".into()
+        }),
+    }
+}
+
+/// The core model by name; decoding checks it against the expected one.
+struct SameCore<'a>(&'a TimingParams);
+
+impl Codec<TimingParams> for SameCore<'_> {
+    fn encode(&self, params: &TimingParams) -> Json {
+        Json::from(params.name)
+    }
+
+    fn decode(&self, value: &Json) -> Result<TimingParams, SnapError> {
+        let name: String = snap::Snap::decode(value)?;
+        snap::ensure(name == self.0.name, || {
+            format!(
+                "engine: snapshot of core `{name}` cannot restore a `{}` engine",
+                self.0.name
+            )
+        })?;
+        Ok(*self.0)
+    }
+}
+
+/// The decode cache as a bitmap of filled words; decoding refills the
+/// marked words from the instruction memory.
+struct DecodeMap<'a>(&'a Mem);
+
+impl Codec<Vec<Option<Instr>>> for DecodeMap<'_> {
+    fn encode(&self, decoded: &Vec<Option<Instr>>) -> Json {
+        let mut bitmap = vec![0u32; decoded.len().div_ceil(32)];
+        for (i, d) in decoded.iter().enumerate() {
             if d.is_some() {
                 bitmap[i / 32] |= 1 << (i % 32);
             }
         }
-        let predictor: Vec<u32> = self.predictor.iter().map(|&v| u32::from(v)).collect();
-        let cycles: Vec<u64> = self.trace.buf.iter().map(|&(c, _)| c).collect();
-        let pcs: Vec<u32> = self.trace.buf.iter().map(|&(_, p)| p).collect();
-        let trace = Json::object()
-            .with("depth", self.trace.buf.len())
-            .with("head", self.trace.head)
-            .with("len", self.trace.len)
-            .with("cycles", snap::longs_to_json(&cycles))
-            .with("pcs", snap::words_to_json(&pcs));
-        Json::object()
-            .with("core", self.params.name)
-            .with("state", self.state.to_snap())
-            .with("imem", self.imem.to_snap())
-            .with("decoded", snap::words_to_json(&bitmap))
-            .with("busy", self.busy)
-            .with(
-                "completing",
-                match self.completing {
-                    Completing::Plain => "plain",
-                    Completing::Mret => "mret",
-                },
-            )
-            .with("wfi_wait", self.wfi_wait)
-            .with("wfi_pc", self.wfi_pc)
-            .with("halted", self.halted)
-            .with("cycle", self.cycle)
-            .with("retired", self.retired)
-            .with("predictor", snap::words_to_json(&predictor))
-            .with("trace", trace)
-            .with("counters", self.counters.to_snap())
-            .with(
-                "profile",
-                self.profiler.as_ref().map_or(Json::Null, |p| p.to_snap()),
-            )
-            .with(
-                "blocks",
-                self.blocks.as_ref().map_or(Json::Null, |c| c.to_snap()),
-            )
+        snap::rle_encode(bitmap)
     }
 
-    /// Restores the engine from [`to_snap`](Self::to_snap) output, in
-    /// place. The engine must have been constructed for the same core
-    /// model and instruction-memory geometry; everything else —
-    /// including whether the profiler or block cache is attached — is
-    /// taken from the snapshot.
-    ///
-    /// Decode entries and block translations are rebuilt from the
-    /// restored instruction memory through non-counting paths, and the
-    /// activity counters are overwritten last, so a restored engine is
-    /// cycle-for-cycle and counter-for-counter identical to one that
-    /// never stopped. Every field is parsed before any is committed: on
-    /// error the engine is unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed fields, a core-model or IMEM-geometry
-    /// mismatch, or a cached layout that no longer rebuilds from the
-    /// snapshotted instruction memory.
-    pub fn restore_snap(&mut self, value: &Json) -> Result<(), SnapError> {
-        let name = snap::get_str(value, "core")?;
-        if name != self.params.name {
-            return Err(SnapError::new(format!(
-                "engine: snapshot of core `{name}` cannot restore a `{}` engine",
-                self.params.name
-            )));
-        }
-        let imem = Mem::from_snap(snap::field(value, "imem")?)?;
-        if imem.base() != self.imem.base() || imem.end() != self.imem.end() {
-            return Err(SnapError::new(format!(
-                "engine: imem geometry {:#010x}..{:#010x} does not match snapshot {:#010x}..{:#010x}",
-                self.imem.base(),
-                self.imem.end(),
-                imem.base(),
-                imem.end()
-            )));
-        }
-        let state = ArchState::from_snap(snap::field(value, "state")?)?;
-        let bitmap = snap::words_from_json(
-            snap::field(value, "decoded")?,
-            self.decoded.len().div_ceil(32),
-        )?;
-        let mut decoded: Vec<Option<Instr>> = vec![None; self.decoded.len()];
-        for (idx, slot) in decoded.iter_mut().enumerate() {
-            if bitmap[idx / 32] & (1 << (idx % 32)) != 0 {
-                let addr = imem.base() + 4 * idx as u32;
+    fn decode(&self, value: &Json) -> Result<Vec<Option<Instr>>, SnapError> {
+        let imem = self.0;
+        let words = ((imem.end() - imem.base()) / 4) as usize;
+        let bitmap: Vec<u32> = snap::rle_decode(value, Some(words.div_ceil(32)))?;
+        let mut decoded = Vec::with_capacity(words);
+        for (w, &bits) in bitmap.iter().enumerate() {
+            let span = (words - w * 32).min(32);
+            if bits == 0 {
+                decoded.extend_from_slice(&[None; 32][..span]);
+                continue;
+            }
+            for bit in 0..span {
+                if bits & (1 << bit) == 0 {
+                    decoded.push(None);
+                    continue;
+                }
+                let addr = imem.base() + 4 * (w * 32 + bit) as u32;
                 let instr = decode(imem.read_word(addr)).map_err(|e| {
-                    SnapError::new(format!("engine: decode slot {idx} ({addr:#010x}): {e}"))
+                    SnapError::new(format!("engine: decode slot {addr:#010x}: {e}"))
                 })?;
-                *slot = Some(instr);
+                decoded.push(Some(instr));
             }
         }
-        let busy = snap::get_u32(value, "busy")?;
-        let completing = match snap::get_str(value, "completing")? {
-            "plain" => Completing::Plain,
-            "mret" => Completing::Mret,
-            other => {
-                return Err(SnapError::new(format!(
-                    "engine: unknown completing state `{other}`"
-                )))
-            }
-        };
-        let wfi_wait = snap::get_bool(value, "wfi_wait")?;
-        let wfi_pc = snap::get_u32(value, "wfi_pc")?;
-        let halted = snap::get_bool(value, "halted")?;
-        let cycle = snap::get_u64(value, "cycle")?;
-        let retired = snap::get_u64(value, "retired")?;
-        let predictor_words =
-            snap::words_from_json(snap::field(value, "predictor")?, self.predictor.len())?;
-        let mut predictor = Vec::with_capacity(predictor_words.len());
-        for w in predictor_words {
-            if w > 3 {
-                return Err(SnapError::new(format!(
-                    "engine: predictor counter {w} out of range"
-                )));
-            }
-            predictor.push(w as u8);
-        }
-        let trace_v = snap::field(value, "trace")?;
-        let depth = snap::get_usize(trace_v, "depth")?;
-        let head = snap::get_usize(trace_v, "head")?;
-        let len = snap::get_usize(trace_v, "len")?;
-        if depth == 0 || head >= depth || len > depth {
-            return Err(SnapError::new(format!(
-                "engine: retire ring head {head}/len {len} out of range for depth {depth}"
-            )));
-        }
-        let cycles = snap::longs_from_json(snap::field(trace_v, "cycles")?, depth)?;
-        let pcs = snap::words_from_json(snap::field(trace_v, "pcs")?, depth)?;
-        let trace = RetireRing {
-            buf: cycles
-                .iter()
-                .zip(&pcs)
-                .map(|(&c, &p)| (c, p))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            head,
-            len,
-        };
-        let profiler = match snap::field(value, "profile")? {
-            Json::Null => None,
-            v => Some(Box::new(PcProfile::from_snap(v)?)),
-        };
-        let blocks = match snap::field(value, "blocks")? {
-            Json::Null => None,
-            v => Some(Box::new(BlockCache::from_snap(v, &self.params, &imem)?)),
-        };
-        let counters = CoreCounters::from_snap(snap::field(value, "counters")?)?;
-        self.state = state;
-        self.imem = imem;
-        self.decoded = decoded;
-        self.busy = busy;
-        self.completing = completing;
-        self.wfi_wait = wfi_wait;
-        self.wfi_pc = wfi_pc;
-        self.halted = halted;
-        self.cycle = cycle;
-        self.retired = retired;
-        self.predictor = predictor;
-        self.trace = trace;
-        self.profiler = profiler;
-        self.blocks = blocks;
-        self.counters = counters;
-        Ok(())
+        Ok(decoded)
+    }
+}
+
+/// The block cache, whose translations are rebuilt from the instruction
+/// memory under the engine's timing parameters.
+struct Blocks<'a>(&'a TimingParams, &'a Mem);
+
+impl Codec<BlockCache> for Blocks<'_> {
+    fn encode(&self, cache: &BlockCache) -> Json {
+        cache.to_snap(self.0, self.1)
+    }
+
+    fn decode(&self, value: &Json) -> Result<BlockCache, SnapError> {
+        BlockCache::from_snap(value, self.0, self.1)
+    }
+}
+
+snap_fields! {
+    // One (cycle, pc) ring stored as two parallel run-length arrays.
+    impl Snap for RetireRing {
+        "depth" => let depth: usize = buf.len(),
+        "head" => head,
+        "len" => len,
+        "cycles" => let cycles: Vec<u64> = buf.iter().map(|e| e.0).collect(); Rle(depth),
+        "pcs" => let pcs: Vec<u32> = buf.iter().map(|e| e.1).collect(); Rle(depth),
+        _ => buf = cycles.into_iter().zip(pcs).collect(),
+        check => snap::ensure(*head < depth && *len <= depth, || {
+            format!("engine: retire ring head {head}/len {len} out of range for depth {depth}")
+        }),
     }
 }
 
@@ -1282,6 +1246,7 @@ mod tests {
     use super::*;
     use crate::coproc::NullCoprocessor;
     use rvsim_isa::{Asm, Reg};
+    use rvsim_snapshot::Snap;
 
     /// A trivial single-cycle SRAM bus for engine unit tests.
     struct SramBus {
@@ -1722,7 +1687,7 @@ mod tests {
                     a.run_until(&mut a_bus, &mut co, stop_events::ALL, 700 - a.cycle());
                 }
                 let doc = a.to_snap();
-                let bus_doc = a_bus.mem.to_snap();
+                let bus_doc = a_bus.mem.encode();
                 // Snapshotting twice yields byte-identical documents.
                 assert_eq!(
                     doc.render(),
@@ -1731,10 +1696,9 @@ mod tests {
                     params.name
                 );
 
-                let mut b = CoreEngine::new(params, 0, 0x1_0000);
-                b.restore_snap(&doc).expect("restore");
+                let mut b = CoreEngine::from_snap(&doc, &params).expect("restore");
                 let mut b_bus = SramBus {
-                    mem: Mem::from_snap(&bus_doc).expect("bus restore"),
+                    mem: Snap::decode(&bus_doc).expect("bus restore"),
                 };
                 assert_eq!(b.cycle(), a.cycle());
                 assert_eq!(b.block_cache_enabled(), blocks);
@@ -1775,23 +1739,22 @@ mod tests {
                 );
                 // The final engine states serialize identically too.
                 assert_eq!(a.to_snap().render(), b.to_snap().render());
-                assert_eq!(a_bus.mem.to_snap().render(), b_bus.mem.to_snap().render());
+                assert_eq!(a_bus.mem.encode().render(), b_bus.mem.encode().render());
             }
         }
     }
 
-    /// A restore with the wrong core model or mangled fields must fail
-    /// without touching the engine.
+    /// A restore with the wrong core model or mangled fields must fail.
     #[test]
     fn snapshot_restore_rejects_mismatches() {
         let p = block_torture_program();
         let mut e = CoreEngine::new(TimingParams::cv32e40p(), 0, 0x1_0000);
         e.load_program(&p);
         let doc = e.to_snap();
-        let mut other = CoreEngine::new(TimingParams::naxriscv(), 0, 0x1_0000);
-        assert!(other.restore_snap(&doc).is_err(), "wrong core accepted");
-        let mut small = CoreEngine::new(TimingParams::cv32e40p(), 0, 0x8000);
-        assert!(small.restore_snap(&doc).is_err(), "wrong imem accepted");
+        assert!(
+            CoreEngine::from_snap(&doc, &TimingParams::naxriscv()).is_err(),
+            "wrong core accepted"
+        );
         let mut mangled = doc.clone();
         if let Json::Object(pairs) = &mut mangled {
             for (k, v) in pairs.iter_mut() {
@@ -1800,9 +1763,9 @@ mod tests {
                 }
             }
         }
-        assert!(e.restore_snap(&mangled).is_err(), "bad field accepted");
-        // The failed restores left the engine usable.
-        assert_eq!(e.cycle(), 0);
+        let err = CoreEngine::from_snap(&mangled, &TimingParams::cv32e40p()).unwrap_err();
+        assert_eq!(err.context, "completing: unknown tag `warp`");
+        assert!(CoreEngine::from_snap(&doc, &TimingParams::cv32e40p()).is_ok());
     }
 
     #[test]

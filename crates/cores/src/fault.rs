@@ -17,7 +17,7 @@
 
 use rvsim_isa::rng::Rng64;
 use rvsim_isa::Reg;
-use rvsim_snapshot::{self as snap, Json, SnapError};
+use rvsim_snapshot::{self as snap, snap_fields, Json, Snap, SnapError};
 
 /// One kind of injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -267,97 +267,92 @@ impl FaultPlan {
     pub fn rewind(&mut self) {
         self.cursor = 0;
     }
+}
 
-    /// Serializes the schedule and cursor for a machine-state snapshot.
-    /// Already-applied events are kept so a restored plan replays the
-    /// original exactly (same events, same cursor).
-    pub fn to_snap(&self) -> Json {
-        let events: Vec<Json> = self.events.iter().map(fault_event_to_snap).collect();
-        Json::object()
-            .with("cursor", self.cursor)
-            .with("events", Json::Array(events))
-    }
-
-    /// Rebuilds a plan from [`to_snap`](Self::to_snap) output.
-    ///
-    /// # Errors
-    ///
-    /// Fails on missing fields, an unknown fault kind, or a cursor past
-    /// the end of the schedule.
-    pub fn from_snap(value: &Json) -> Result<FaultPlan, SnapError> {
-        let cursor = snap::get_usize(value, "cursor")?;
-        let mut events = Vec::new();
-        for e in snap::get_array(value, "events")? {
-            events.push(fault_event_from_snap(e)?);
-        }
-        if cursor > events.len() {
-            return Err(SnapError::new("fault plan: cursor beyond schedule"));
-        }
-        Ok(FaultPlan { events, cursor })
+snap_fields! {
+    // The schedule and cursor. Already-applied events are kept so a
+    // restored plan replays the original exactly (same events, same
+    // cursor).
+    impl Snap for FaultPlan {
+        "cursor" => cursor,
+        "events" => events,
+        check => snap::ensure(*cursor <= events.len(), || {
+            "fault plan: cursor beyond schedule".into()
+        }),
     }
 }
 
-fn fault_event_to_snap(e: &FaultEvent) -> Json {
-    let mut obj = Json::object()
-        .with("at_cycle", e.at_cycle)
-        .with("kind", e.kind.name());
-    match e.kind {
-        FaultKind::RegFlip { reg, bit } => {
-            obj.push("reg", u64::from(reg.number()));
-            obj.push("bit", u64::from(bit));
+/// Hand-written: the payload keys depend on the fault kind.
+impl Snap for FaultEvent {
+    fn encode(&self) -> Json {
+        let mut obj = Json::object()
+            .with("at_cycle", self.at_cycle)
+            .with("kind", self.kind.name());
+        match self.kind {
+            FaultKind::RegFlip { reg, bit } => {
+                obj.push("reg", u64::from(reg.number()));
+                obj.push("bit", u64::from(bit));
+            }
+            FaultKind::CsrFlip { csr, bit } => {
+                obj.push("csr", u64::from(csr));
+                obj.push("bit", u64::from(bit));
+            }
+            FaultKind::MemFlip { addr, bit } | FaultKind::ImemFlip { addr, bit } => {
+                obj.push("addr", addr);
+                obj.push("bit", u64::from(bit));
+            }
+            FaultKind::CacheUpset { addr } => obj.push("addr", addr),
+            FaultKind::DelayIrq { delay } => obj.push("delay", delay),
+            FaultKind::BusError
+            | FaultKind::SpuriousIrq
+            | FaultKind::DropIrq
+            | FaultKind::SpuriousIpi => {}
         }
-        FaultKind::CsrFlip { csr, bit } => {
-            obj.push("csr", u64::from(csr));
-            obj.push("bit", u64::from(bit));
-        }
-        FaultKind::MemFlip { addr, bit } | FaultKind::ImemFlip { addr, bit } => {
-            obj.push("addr", addr);
-            obj.push("bit", u64::from(bit));
-        }
-        FaultKind::CacheUpset { addr } => obj.push("addr", addr),
-        FaultKind::DelayIrq { delay } => obj.push("delay", delay),
-        FaultKind::BusError
-        | FaultKind::SpuriousIrq
-        | FaultKind::DropIrq
-        | FaultKind::SpuriousIpi => {}
+        obj
     }
-    obj
-}
 
-fn fault_event_from_snap(value: &Json) -> Result<FaultEvent, SnapError> {
-    let at_cycle = snap::get_u64(value, "at_cycle")?;
-    let bit = |v: &Json| snap::get_u8(v, "bit");
-    let kind = match snap::get_str(value, "kind")? {
-        "reg_flip" => FaultKind::RegFlip {
-            reg: Reg::from_number(snap::get_u8(value, "reg")? & 31),
-            bit: bit(value)?,
-        },
-        "csr_flip" => FaultKind::CsrFlip {
-            csr: u16::try_from(snap::get_u64(value, "csr")?)
-                .map_err(|_| SnapError::new("fault csr: exceeds u16"))?,
-            bit: bit(value)?,
-        },
-        "mem_flip" => FaultKind::MemFlip {
-            addr: snap::get_u32(value, "addr")?,
-            bit: bit(value)?,
-        },
-        "imem_flip" => FaultKind::ImemFlip {
-            addr: snap::get_u32(value, "addr")?,
-            bit: bit(value)?,
-        },
-        "cache_upset" => FaultKind::CacheUpset {
-            addr: snap::get_u32(value, "addr")?,
-        },
-        "bus_error" => FaultKind::BusError,
-        "spurious_irq" => FaultKind::SpuriousIrq,
-        "drop_irq" => FaultKind::DropIrq,
-        "delay_irq" => FaultKind::DelayIrq {
-            delay: snap::get_u32(value, "delay")?,
-        },
-        "spurious_ipi" => FaultKind::SpuriousIpi,
-        other => return Err(SnapError::new(format!("fault: unknown kind `{other}`"))),
-    };
-    Ok(FaultEvent { at_cycle, kind })
+    fn decode(value: &Json) -> Result<FaultEvent, SnapError> {
+        let kind = match snap::get::<String>(value, "kind")?.as_str() {
+            "reg_flip" => FaultKind::RegFlip {
+                reg: Reg::from_number(snap::get::<u8>(value, "reg")? & 31),
+                bit: snap::get(value, "bit")?,
+            },
+            "csr_flip" => FaultKind::CsrFlip {
+                csr: snap::get(value, "csr")?,
+                bit: snap::get(value, "bit")?,
+            },
+            "mem_flip" => FaultKind::MemFlip {
+                addr: snap::get(value, "addr")?,
+                bit: snap::get(value, "bit")?,
+            },
+            "imem_flip" => FaultKind::ImemFlip {
+                addr: snap::get(value, "addr")?,
+                bit: snap::get(value, "bit")?,
+            },
+            "cache_upset" => FaultKind::CacheUpset {
+                addr: snap::get(value, "addr")?,
+            },
+            "bus_error" => FaultKind::BusError,
+            "spurious_irq" => FaultKind::SpuriousIrq,
+            "drop_irq" => FaultKind::DropIrq,
+            "delay_irq" => FaultKind::DelayIrq {
+                delay: snap::get(value, "delay")?,
+            },
+            "spurious_ipi" => FaultKind::SpuriousIpi,
+            other => return Err(SnapError::new(format!("fault: unknown kind `{other}`"))),
+        };
+        if let FaultKind::RegFlip { bit, .. }
+        | FaultKind::CsrFlip { bit, .. }
+        | FaultKind::MemFlip { bit, .. }
+        | FaultKind::ImemFlip { bit, .. } = kind
+        {
+            snap::ensure(bit < 32, || format!("fault: bit {bit} outside a word"))?;
+        }
+        Ok(FaultEvent {
+            at_cycle: snap::get(value, "at_cycle")?,
+            kind,
+        })
+    }
 }
 
 #[cfg(test)]

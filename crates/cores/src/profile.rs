@@ -26,7 +26,7 @@
 //! stacks for visualisation.
 
 use rvsim_isa::Instr;
-use rvsim_snapshot::{self as snap, Json, SnapError};
+use rvsim_snapshot::{snap_fields, Rle};
 
 /// Cycles binned per guest PC over one instruction memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,6 +61,16 @@ impl HotBlock {
     }
 }
 
+snap_fields! {
+    // Per-PC bins, run-length encoded.
+    impl Snap for PcProfile {
+        "base" => base,
+        "len" => let len: usize = bins.len(),
+        "bins" => bins: Rle(len),
+        "other" => other,
+    }
+}
+
 impl PcProfile {
     /// An empty profile over an instruction memory of `size` bytes based
     /// at `base`.
@@ -75,30 +85,6 @@ impl PcProfile {
     /// Base address of the profiled instruction memory.
     pub fn base(&self) -> u32 {
         self.base
-    }
-
-    /// Serializes the per-PC bins (run-length encoded) for a
-    /// machine-state snapshot.
-    pub fn to_snap(&self) -> Json {
-        Json::object()
-            .with("base", self.base)
-            .with("len", self.bins.len())
-            .with("bins", snap::longs_to_json(&self.bins))
-            .with("other", self.other)
-    }
-
-    /// Rebuilds a profile from [`to_snap`](Self::to_snap) output.
-    ///
-    /// # Errors
-    ///
-    /// Fails on missing fields or a bins/length mismatch.
-    pub fn from_snap(value: &Json) -> Result<PcProfile, SnapError> {
-        let len = snap::get_usize(value, "len")?;
-        Ok(PcProfile {
-            base: snap::get_u32(value, "base")?,
-            bins: snap::longs_from_json(snap::field(value, "bins")?, len)?,
-            other: snap::get_u64(value, "other")?,
-        })
     }
 
     /// Attributes `cycles` to `pc`.

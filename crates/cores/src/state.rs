@@ -2,7 +2,7 @@
 
 use crate::csrs::Csrs;
 use rvsim_isa::Reg;
-use rvsim_snapshot::{self as snap, Json, SnapError};
+use rvsim_snapshot::{snap_fields, Rle, Tags};
 
 /// Identifies one of the two register-file banks (paper §4.2: the
 /// application bank plus the duplicated ISR bank).
@@ -123,49 +123,18 @@ impl ArchState {
     pub fn clear_dirty(&mut self) {
         self.dirty = 0;
     }
+}
 
-    /// Serializes both banks, the active-bank selector, dirty bits, CSRs
-    /// and the PC for a machine-state snapshot.
-    pub fn to_snap(&self) -> Json {
-        Json::object()
-            .with("bank_app", snap::words_to_json(&self.banks[0]))
-            .with("bank_isr", snap::words_to_json(&self.banks[1]))
-            .with(
-                "active",
-                match self.active {
-                    Bank::App => "app",
-                    Bank::Isr => "isr",
-                },
-            )
-            .with("dirty", self.dirty)
-            .with("pc", self.pc)
-            .with("csrs", self.csrs.to_snap())
-    }
-
-    /// Rebuilds the architectural state from [`to_snap`](Self::to_snap)
-    /// output.
-    ///
-    /// # Errors
-    ///
-    /// Fails on missing fields or an unknown bank selector.
-    pub fn from_snap(value: &Json) -> Result<ArchState, SnapError> {
-        let app = snap::words_from_json(snap::field(value, "bank_app")?, 32)?;
-        let isr = snap::words_from_json(snap::field(value, "bank_isr")?, 32)?;
-        let active = match snap::get_str(value, "active")? {
-            "app" => Bank::App,
-            "isr" => Bank::Isr,
-            other => return Err(SnapError::new(format!("state: unknown bank `{other}`"))),
-        };
-        let mut banks = [[0u32; 32]; 2];
-        banks[0].copy_from_slice(&app);
-        banks[1].copy_from_slice(&isr);
-        Ok(ArchState {
-            banks,
-            active,
-            dirty: snap::get_u32(value, "dirty")?,
-            csrs: Csrs::from_snap(snap::field(value, "csrs")?)?,
-            pc: snap::get_u32(value, "pc")?,
-        })
+snap_fields! {
+    // Both banks, the active-bank selector, dirty bits, the PC and CSRs.
+    impl Snap for ArchState {
+        "bank_app" => let app: [u32; 32] = banks[0]; Rle(32),
+        "bank_isr" => let isr: [u32; 32] = banks[1]; Rle(32),
+        _ => banks = [app, isr],
+        "active" => active: Tags(&[("app", Bank::App), ("isr", Bank::Isr)]),
+        "dirty" => dirty,
+        "pc" => pc,
+        "csrs" => csrs,
     }
 }
 

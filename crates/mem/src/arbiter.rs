@@ -5,7 +5,7 @@
 //! dead/idle cycles. The [`Arbiter`] keeps the bookkeeping honest and
 //! gathers occupancy statistics used by the ablation benches.
 
-use rvsim_snapshot::{self as snap, Json, SnapError};
+use rvsim_snapshot::{self as snap, snap_fields, Codec, Json, MinusOneIsNone, SnapError, Tags};
 
 /// Who may use the shared data port in a given cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -116,42 +116,20 @@ impl Arbiter {
         }
         1.0 - (self.core_cycles + self.unit_cycles) as f64 / self.cycles as f64
     }
+}
 
-    /// Serializes occupancy counters and the (normally `None` between
-    /// cycles) open grant for a machine-state snapshot.
-    pub fn to_snap(&self) -> Json {
-        Json::object()
-            .with(
-                "grant",
-                match self.grant {
-                    None => "none",
-                    Some(PortClient::Core) => "core",
-                    Some(PortClient::Unit) => "unit",
-                },
-            )
-            .with("cycles", self.cycles)
-            .with("core_cycles", self.core_cycles)
-            .with("unit_cycles", self.unit_cycles)
-    }
-
-    /// Rebuilds an arbiter from [`to_snap`](Self::to_snap) output.
-    ///
-    /// # Errors
-    ///
-    /// Fails on missing fields or an unknown grant holder.
-    pub fn from_snap(value: &Json) -> Result<Arbiter, SnapError> {
-        let grant = match snap::get_str(value, "grant")? {
-            "none" => None,
-            "core" => Some(PortClient::Core),
-            "unit" => Some(PortClient::Unit),
-            other => return Err(SnapError::new(format!("arbiter: unknown grant `{other}`"))),
-        };
-        Ok(Arbiter {
-            grant,
-            cycles: snap::get_u64(value, "cycles")?,
-            core_cycles: snap::get_u64(value, "core_cycles")?,
-            unit_cycles: snap::get_u64(value, "unit_cycles")?,
-        })
+snap_fields! {
+    // Occupancy counters and the (normally `None` between cycles) open
+    // grant.
+    impl Snap for Arbiter {
+        "grant" => grant: Tags(&[
+            ("none", None),
+            ("core", Some(PortClient::Core)),
+            ("unit", Some(PortClient::Unit)),
+        ]),
+        "cycles" => cycles,
+        "core_cycles" => core_cycles,
+        "unit_cycles" => unit_cycles,
     }
 }
 
@@ -239,71 +217,53 @@ impl BusArbiter {
     pub fn all_stats(&self) -> &[BusMasterStats] {
         &self.stats
     }
+}
 
-    /// Serializes the bus-timing state and per-master statistics for a
-    /// machine-state snapshot.
-    pub fn to_snap(&self) -> Json {
-        let mut stats = Vec::with_capacity(self.stats.len() * 3);
-        for s in &self.stats {
-            stats.push(Json::UInt(s.grants));
-            stats.push(Json::UInt(s.wait_cycles));
-            stats.push(Json::UInt(s.max_wait));
-        }
-        Json::object()
-            .with("free_at", self.free_at)
-            .with(
-                "owner",
-                match self.owner {
-                    // Owner is a master index; -1 marks "unparked".
-                    None => Json::Int(-1),
-                    Some(m) => Json::UInt(m as u64),
-                },
-            )
-            .with("masters", self.stats.len())
-            .with("stats", Json::Array(stats))
+/// Per-master statistics as one flat `[grants, wait_cycles, max_wait, ...]`
+/// array.
+struct FlatStats;
+
+impl Codec<Vec<BusMasterStats>> for FlatStats {
+    fn encode(&self, stats: &Vec<BusMasterStats>) -> Json {
+        Json::from(
+            stats
+                .iter()
+                .flat_map(|s| [s.grants, s.wait_cycles, s.max_wait])
+                .collect::<Vec<u64>>()
+                .as_slice(),
+        )
     }
 
-    /// Rebuilds a bus arbiter from [`to_snap`](Self::to_snap) output.
-    ///
-    /// # Errors
-    ///
-    /// Fails on missing fields or a stats-array length mismatch.
-    pub fn from_snap(value: &Json) -> Result<BusArbiter, SnapError> {
-        let masters = snap::get_usize(value, "masters")?;
-        let owner = match snap::field(value, "owner")? {
-            Json::Int(-1) => None,
-            j => Some(
-                j.as_u64()
-                    .and_then(|m| usize::try_from(m).ok())
-                    .filter(|&m| m < masters)
-                    .ok_or_else(|| SnapError::new("bus: owner out of range"))?,
-            ),
-        };
-        let flat = snap::get_array(value, "stats")?;
-        if flat.len() != masters * 3 {
-            return Err(SnapError::new(format!(
-                "bus: {} stat fields, expected {}",
-                flat.len(),
-                masters * 3
-            )));
-        }
-        let mut stats = Vec::with_capacity(masters);
-        for chunk in flat.chunks_exact(3) {
-            let read = |j: &Json| {
-                j.as_u64()
-                    .ok_or_else(|| SnapError::new("bus stats: expected integer"))
-            };
-            stats.push(BusMasterStats {
-                grants: read(&chunk[0])?,
-                wait_cycles: read(&chunk[1])?,
-                max_wait: read(&chunk[2])?,
-            });
-        }
-        Ok(BusArbiter {
-            free_at: snap::get_u64(value, "free_at")?,
-            owner,
-            stats,
-        })
+    fn decode(&self, value: &Json) -> Result<Vec<BusMasterStats>, SnapError> {
+        let flat: Vec<u64> = snap::Snap::decode(value)?;
+        snap::ensure(flat.len().is_multiple_of(3), || {
+            "stats: not whole triples".into()
+        })?;
+        Ok(flat
+            .chunks_exact(3)
+            .map(|c| BusMasterStats {
+                grants: c[0],
+                wait_cycles: c[1],
+                max_wait: c[2],
+            })
+            .collect())
+    }
+}
+
+snap_fields! {
+    // Bus-timing state and per-master statistics.
+    impl Snap for BusArbiter {
+        "free_at" => free_at,
+        // Owner is a master index; -1 marks "unparked".
+        "owner" => owner: MinusOneIsNone,
+        "masters" => let masters: usize = stats.len(),
+        "stats" => stats: FlatStats,
+        check => snap::ensure(stats.len() == masters, || {
+            format!("bus: {} masters' stats, expected {masters}", stats.len())
+        }),
+        check => snap::ensure(owner.is_none_or(|m| m < masters), || {
+            "bus: owner out of range".into()
+        }),
     }
 }
 

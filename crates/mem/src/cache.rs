@@ -7,7 +7,7 @@
 //! creates the residual context-switch jitter the paper observes on CVA6
 //! and NaxRiscv (§6.1).
 
-use rvsim_snapshot::{self as snap, Json, SnapError};
+use rvsim_snapshot::{self as snap, snap_fields, Codec, Json, SnapError, Tags};
 
 /// Write policy of the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,6 +63,40 @@ impl CacheConfig {
             miss_penalty: 20,
         }
     }
+
+    /// Checks the geometry: `sets` and `line_words` powers of two, `ways`
+    /// non-zero, and the line count addressable.
+    ///
+    /// # Errors
+    ///
+    /// Names the first violated rule.
+    pub fn check(&self) -> Result<(), SnapError> {
+        snap::ensure(self.sets.is_power_of_two(), || {
+            "sets must be a power of two".into()
+        })?;
+        snap::ensure(self.line_words.is_power_of_two(), || {
+            "line_words must be a power of two".into()
+        })?;
+        snap::ensure(self.ways > 0, || "ways must be non-zero".into())?;
+        snap::ensure(self.sets.checked_mul(self.ways).is_some(), || {
+            "sets × ways overflows".into()
+        })
+    }
+}
+
+snap_fields! {
+    impl Snap for CacheConfig {
+        "sets" => sets,
+        "ways" => ways,
+        "line_words" => line_words,
+        "policy" => policy: Tags(&[
+            ("write_through", WritePolicy::WriteThrough),
+            ("write_back", WritePolicy::WriteBack),
+        ]),
+        "hit_latency" => hit_latency,
+        "miss_penalty" => miss_penalty,
+        check(cfg) => cfg.check(),
+    }
 }
 
 /// Timing outcome of a single cache access.
@@ -103,15 +137,11 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `line_words` is not a power of two, or if any
-    /// geometry parameter is zero.
+    /// Panics if the geometry is invalid (see [`CacheConfig::check`]).
     pub fn new(cfg: CacheConfig) -> Cache {
-        assert!(cfg.sets.is_power_of_two(), "sets must be a power of two");
-        assert!(
-            cfg.line_words.is_power_of_two(),
-            "line_words must be a power of two"
-        );
-        assert!(cfg.ways > 0, "ways must be non-zero");
+        if let Err(e) = cfg.check() {
+            panic!("{e}");
+        }
         Cache {
             cfg,
             lines: vec![Line::default(); (cfg.sets * cfg.ways) as usize],
@@ -235,81 +265,6 @@ impl Cache {
         }
     }
 
-    /// Serializes geometry, tag/valid/dirty/LRU state and counters for a
-    /// machine-state snapshot.
-    pub fn to_snap(&self) -> Json {
-        let mut lines = Vec::with_capacity(self.lines.len() * 4);
-        for l in &self.lines {
-            lines.push(Json::UInt(u64::from(l.valid)));
-            lines.push(Json::UInt(u64::from(l.dirty)));
-            lines.push(Json::UInt(u64::from(l.tag)));
-            lines.push(Json::UInt(l.lru));
-        }
-        Json::object()
-            .with("sets", self.cfg.sets)
-            .with("ways", self.cfg.ways)
-            .with("line_words", self.cfg.line_words)
-            .with(
-                "policy",
-                match self.cfg.policy {
-                    WritePolicy::WriteThrough => "write_through",
-                    WritePolicy::WriteBack => "write_back",
-                },
-            )
-            .with("hit_latency", self.cfg.hit_latency)
-            .with("miss_penalty", self.cfg.miss_penalty)
-            .with("tick", self.tick)
-            .with("hits", self.hits)
-            .with("misses", self.misses)
-            .with("lines", Json::Array(lines))
-    }
-
-    /// Rebuilds a cache from [`to_snap`](Self::to_snap) output.
-    ///
-    /// # Errors
-    ///
-    /// Fails on missing fields, an unknown policy, or a line-array length
-    /// mismatch.
-    pub fn from_snap(value: &Json) -> Result<Cache, SnapError> {
-        let policy = match snap::get_str(value, "policy")? {
-            "write_through" => WritePolicy::WriteThrough,
-            "write_back" => WritePolicy::WriteBack,
-            other => return Err(SnapError::new(format!("cache: unknown policy `{other}`"))),
-        };
-        let cfg = CacheConfig {
-            sets: snap::get_u32(value, "sets")?,
-            ways: snap::get_u32(value, "ways")?,
-            line_words: snap::get_u32(value, "line_words")?,
-            policy,
-            hit_latency: snap::get_u32(value, "hit_latency")?,
-            miss_penalty: snap::get_u32(value, "miss_penalty")?,
-        };
-        let mut cache = Cache::new(cfg);
-        let flat = snap::get_array(value, "lines")?;
-        if flat.len() != cache.lines.len() * 4 {
-            return Err(SnapError::new(format!(
-                "cache: {} line fields, expected {}",
-                flat.len(),
-                cache.lines.len() * 4
-            )));
-        }
-        for (line, chunk) in cache.lines.iter_mut().zip(flat.chunks_exact(4)) {
-            let read = |j: &Json, what: &str| {
-                j.as_u64()
-                    .ok_or_else(|| SnapError::new(format!("cache line {what}: expected integer")))
-            };
-            line.valid = read(&chunk[0], "valid")? != 0;
-            line.dirty = read(&chunk[1], "dirty")? != 0;
-            line.tag = u32::try_from(read(&chunk[2], "tag")?)
-                .map_err(|_| SnapError::new("cache line tag: exceeds u32"))?;
-            line.lru = read(&chunk[3], "lru")?;
-        }
-        cache.tick = snap::get_u64(value, "tick")?;
-        cache.hits = snap::get_u64(value, "hits")?;
-        cache.misses = snap::get_u64(value, "misses")?;
-        Ok(cache)
-    }
-
     /// Whether the line containing `addr` is currently resident.
     pub fn probe(&self, addr: u32) -> bool {
         let (set, tag) = {
@@ -320,6 +275,59 @@ impl Cache {
         self.lines[start..start + self.cfg.ways as usize]
             .iter()
             .any(|l| l.valid && l.tag == tag)
+    }
+}
+
+/// Lines as one flat `[valid, dirty, tag, lru, ...]` array.
+struct FlatLines;
+
+impl Codec<Vec<Line>> for FlatLines {
+    fn encode(&self, lines: &Vec<Line>) -> Json {
+        Json::from(
+            lines
+                .iter()
+                .flat_map(|l| {
+                    [
+                        u64::from(l.valid),
+                        u64::from(l.dirty),
+                        u64::from(l.tag),
+                        l.lru,
+                    ]
+                })
+                .collect::<Vec<u64>>()
+                .as_slice(),
+        )
+    }
+
+    fn decode(&self, value: &Json) -> Result<Vec<Line>, SnapError> {
+        let flat: Vec<u64> = snap::Snap::decode(value)?;
+        snap::ensure(flat.len().is_multiple_of(4), || {
+            "lines: not whole quads".into()
+        })?;
+        flat.chunks_exact(4)
+            .map(|c| {
+                Ok(Line {
+                    valid: c[0] != 0,
+                    dirty: c[1] != 0,
+                    tag: u32::try_from(c[2]).map_err(|_| SnapError::new("line tag exceeds u32"))?,
+                    lru: c[3],
+                })
+            })
+            .collect()
+    }
+}
+
+snap_fields! {
+    // Geometry, counters and tag/valid/dirty/LRU state.
+    impl Snap for Cache {
+        .. => cfg,
+        "tick" => tick,
+        "hits" => hits,
+        "misses" => misses,
+        "lines" => lines: FlatLines,
+        check => snap::ensure(lines.len() == (cfg.sets * cfg.ways) as usize, || {
+            format!("cache: {} lines, geometry needs {}", lines.len(), cfg.sets * cfg.ways)
+        }),
     }
 }
 

@@ -1,6 +1,6 @@
 //! Flat word-organised RAM.
 
-use rvsim_snapshot::{self as snap, Json, SnapError};
+use rvsim_snapshot::{self as snap, snap_fields, Rle};
 use std::fmt;
 
 /// Width of a single memory access.
@@ -155,26 +155,18 @@ impl Mem {
             self.write_word(addr + (i as u32) * 4, *w);
         }
     }
+}
 
-    /// Serializes base, size and contents (run-length encoded) for a
-    /// machine-state snapshot.
-    pub fn to_snap(&self) -> Json {
-        Json::object()
-            .with("base", self.base)
-            .with("len_words", self.words.len())
-            .with("words", snap::words_to_json(&self.words))
-    }
-
-    /// Rebuilds a RAM from [`to_snap`](Self::to_snap) output.
-    ///
-    /// # Errors
-    ///
-    /// Fails on missing fields or a contents/length mismatch.
-    pub fn from_snap(value: &Json) -> Result<Mem, SnapError> {
-        let base = snap::get_u32(value, "base")?;
-        let len = snap::get_usize(value, "len_words")?;
-        let words = snap::words_from_json(snap::field(value, "words")?, len)?;
-        Ok(Mem { base, words })
+snap_fields! {
+    // Base, size and contents (run-length encoded).
+    impl Snap for Mem {
+        "base" => base,
+        "len_words" => let len: usize = words.len(),
+        "words" => words: Rle(len),
+        check => snap::ensure(
+            base % 4 == 0 && u64::from(*base) + 4 * words.len() as u64 <= u64::from(u32::MAX),
+            || format!("ram: {len} words at {base:#010x} leave the address space"),
+        ),
     }
 }
 

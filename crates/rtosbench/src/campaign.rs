@@ -325,25 +325,27 @@ impl RunSpec {
     /// Fails on a broken envelope or when the snapshot describes a
     /// different core kind or preset than this spec.
     pub fn from_snapshot(mut self, doc: &Json) -> Result<RunSpec, String> {
-        let state = snap::open(&doc.render()).map_err(|e| e.to_string())?;
-        let kind = snap::get_str(&state, "kind").map_err(|e| e.to_string())?;
+        let state = snap::verify(doc).map_err(|e| e.to_string())?;
+        let kind: String = snap::get(state, "kind").map_err(|e| e.to_string())?;
         if kind != self.core.name() {
             return Err(format!(
                 "snapshot is for core `{kind}`, spec wants `{}`",
                 self.core.name()
             ));
         }
-        let preset = snap::get_str(&state, "preset").map_err(|e| e.to_string())?;
+        let preset: String = snap::get(state, "preset").map_err(|e| e.to_string())?;
         if preset != self.preset.tag() {
             return Err(format!(
                 "snapshot is for preset `{preset}`, spec wants `{}`",
                 self.preset.tag()
             ));
         }
-        let platform = snap::field(&state, "platform").map_err(|e| e.to_string())?;
-        let boot_cycles = snap::get_u64(platform, "cycle").map_err(|e| e.to_string())?;
+        let boot_cycles = state
+            .get("platform")
+            .ok_or_else(|| "platform: missing field".to_string())
+            .and_then(|p| snap::get::<u64>(p, "cycle").map_err(|e| e.to_string()))?;
         self.warm = Some(WarmStart {
-            state: Arc::new(state),
+            state: Arc::new(state.clone()),
             boot_cycles,
         });
         Ok(self)

@@ -13,16 +13,23 @@
 //! }
 //! ```
 //!
-//! The `state` payload is produced by `to_snap`/`restore_snap` methods on
-//! each state-bearing struct (they live next to the structs, since most
-//! fields are module-private). This crate owns only the *container*:
+//! The `state` payload is produced by one declarative codec per
+//! state-bearing struct: a [`snap_fields!`] invocation next to the struct
+//! lists its ordered `"key" => field` pairs once and generates both the
+//! encoder and the decoder, so the two cannot drift. Irregular encodings
+//! (run-length arrays, `-1`-as-`None` ids, enum tags) are per-field
+//! [`Codec`] values; checks that relate fields run after decoding.
+//! Decoding **always builds a new object** — nothing restores in place —
+//! and bad input is an error, never a panic. This crate owns the codec
+//! primitives and the *container*:
 //!
 //! * [`seal`] wraps a state value with the schema tag and a digest over
 //!   its rendered bytes,
-//! * [`open`] parses a document, checks the schema and re-verifies the
-//!   digest — a truncated document fails to parse, a bit-flipped one
-//!   fails the digest check, a future-versioned one is rejected by name.
-//!   Corruption is an error, never a mis-restore.
+//! * [`verify`] checks the schema and digest of an already-parsed
+//!   document, and [`open`] parses text and verifies it — a truncated
+//!   document fails to parse, a bit-flipped one fails the digest check, a
+//!   future-versioned one is rejected by name. Corruption is an error,
+//!   never a mis-restore.
 //!
 //! Determinism rules for snapshot producers: integers and strings only
 //! (floats round-trip exactly through [`Json`], but none are needed),
@@ -30,13 +37,17 @@
 //! sorted key order. Under those rules `Json::parse(render(x)) == x`, so
 //! digests computed at seal time and verify time always agree.
 //!
-//! Word-array payloads (memories, decode bitmaps, profile bins) use the
-//! run-length codec ([`words_to_json`]/[`words_from_json`]): a flat
-//! `[len0, val0, len1, val1, ...]` array — mostly-zero 64 KiB memories
-//! collapse to a handful of runs.
+//! Word arrays (memories, decode bitmaps, profile bins) use the
+//! run-length codec [`Rle`]: a flat `[len0, val0, len1, val1, ...]`
+//! array — mostly-zero memories collapse to a handful of runs.
 
+pub mod codec;
 pub mod json;
 
+pub use codec::{
+    ensure, get, get_with, rle_decode, rle_encode, Boxed, Codec, Each, MinusOneIsNone, Named, Opt,
+    Plain, Rle, RleAny, RleWord, Snap, SortedMap, Tags, Tuple, MAX_LEN,
+};
 pub use json::{Json, JsonParseError};
 
 /// Schema tag of version 1 snapshot artifacts.
@@ -63,6 +74,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 pub struct SnapError {
     /// Human-readable context, e.g. `"core.csrs.mstatus: missing field"`.
     pub context: String,
+    /// Whether `context` already starts with a key path.
+    located: bool,
 }
 
 impl SnapError {
@@ -70,6 +83,20 @@ impl SnapError {
     pub fn new(context: impl Into<String>) -> SnapError {
         SnapError {
             context: context.into(),
+            located: false,
+        }
+    }
+
+    /// This error, located inside object member (or array element) `key`.
+    pub fn within(self, key: &str) -> SnapError {
+        let context = match (self.located, self.context.starts_with('[')) {
+            (true, true) => format!("{key}{}", self.context),
+            (true, false) => format!("{key}.{}", self.context),
+            (false, _) => format!("{key}: {}", self.context),
+        };
+        SnapError {
+            context,
+            located: true,
         }
     }
 }
@@ -98,11 +125,23 @@ pub fn seal(state: Json) -> Json {
 ///
 /// # Errors
 ///
-/// Fails on malformed JSON (including truncation), a missing or unknown
-/// schema tag, a missing digest, or a digest mismatch (bit-level
-/// corruption of the state payload).
+/// Fails on malformed JSON (including truncation) and everything
+/// [`verify`] rejects.
 pub fn open(text: &str) -> Result<Json, SnapError> {
     let doc = Json::parse(text).map_err(|e| SnapError::new(format!("document: {e}")))?;
+    verify(&doc).cloned()
+}
+
+/// Checks the schema tag and digest of an already-parsed sealed document,
+/// returning its state payload — no re-rendering or re-parsing of the
+/// envelope.
+///
+/// # Errors
+///
+/// Fails on a missing or unknown schema tag, a missing or malformed
+/// digest, a missing state payload, or a digest mismatch (bit-level
+/// corruption of the state payload).
+pub fn verify(doc: &Json) -> Result<&Json, SnapError> {
     let schema = doc
         .get("schema")
         .and_then(Json::as_str)
@@ -128,199 +167,7 @@ pub fn open(text: &str) -> Result<Json, SnapError> {
              snapshot is corrupted"
         )));
     }
-    Ok(state.clone())
-}
-
-/// Looks up a required object field.
-///
-/// # Errors
-///
-/// Fails when `value` is not an object or lacks `key`.
-pub fn field<'a>(value: &'a Json, key: &str) -> Result<&'a Json, SnapError> {
-    value
-        .get(key)
-        .ok_or_else(|| SnapError::new(format!("{key}: missing field")))
-}
-
-/// Reads a required `u64` field.
-///
-/// # Errors
-///
-/// Fails when the field is missing or not a non-negative integer.
-pub fn get_u64(value: &Json, key: &str) -> Result<u64, SnapError> {
-    field(value, key)?
-        .as_u64()
-        .ok_or_else(|| SnapError::new(format!("{key}: expected unsigned integer")))
-}
-
-/// Reads a required `u32` field.
-///
-/// # Errors
-///
-/// Fails when the field is missing, not an integer, or out of range.
-pub fn get_u32(value: &Json, key: &str) -> Result<u32, SnapError> {
-    u32::try_from(get_u64(value, key)?)
-        .map_err(|_| SnapError::new(format!("{key}: value exceeds u32 range")))
-}
-
-/// Reads a required `u8` field.
-///
-/// # Errors
-///
-/// Fails when the field is missing, not an integer, or out of range.
-pub fn get_u8(value: &Json, key: &str) -> Result<u8, SnapError> {
-    u8::try_from(get_u64(value, key)?)
-        .map_err(|_| SnapError::new(format!("{key}: value exceeds u8 range")))
-}
-
-/// Reads a required `usize` field.
-///
-/// # Errors
-///
-/// Fails when the field is missing, not an integer, or out of range.
-pub fn get_usize(value: &Json, key: &str) -> Result<usize, SnapError> {
-    usize::try_from(get_u64(value, key)?)
-        .map_err(|_| SnapError::new(format!("{key}: value exceeds usize range")))
-}
-
-/// Reads a required `bool` field.
-///
-/// # Errors
-///
-/// Fails when the field is missing or not a boolean.
-pub fn get_bool(value: &Json, key: &str) -> Result<bool, SnapError> {
-    match field(value, key)? {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(SnapError::new(format!("{key}: expected boolean"))),
-    }
-}
-
-/// Reads a required string field.
-///
-/// # Errors
-///
-/// Fails when the field is missing or not a string.
-pub fn get_str<'a>(value: &'a Json, key: &str) -> Result<&'a str, SnapError> {
-    field(value, key)?
-        .as_str()
-        .ok_or_else(|| SnapError::new(format!("{key}: expected string")))
-}
-
-/// Reads a required array field.
-///
-/// # Errors
-///
-/// Fails when the field is missing or not an array.
-pub fn get_array<'a>(value: &'a Json, key: &str) -> Result<&'a [Json], SnapError> {
-    field(value, key)?
-        .as_array()
-        .ok_or_else(|| SnapError::new(format!("{key}: expected array")))
-}
-
-/// Encodes a `u32` word array as a run-length JSON array:
-/// `[len0, val0, len1, val1, ...]`. Mostly-uniform payloads (zeroed
-/// memories, cold decode bitmaps) collapse to a few runs.
-pub fn words_to_json(words: &[u32]) -> Json {
-    let mut runs = Vec::new();
-    let mut i = 0;
-    while i < words.len() {
-        let val = words[i];
-        let mut len = 1u64;
-        while i + (len as usize) < words.len() && words[i + len as usize] == val {
-            len += 1;
-        }
-        runs.push(Json::UInt(len));
-        runs.push(Json::UInt(u64::from(val)));
-        i += len as usize;
-    }
-    Json::Array(runs)
-}
-
-/// Decodes a run-length `u32` word array produced by [`words_to_json`],
-/// checking the total length against `expect_len`.
-///
-/// # Errors
-///
-/// Fails on malformed runs or a length mismatch.
-pub fn words_from_json(value: &Json, expect_len: usize) -> Result<Vec<u32>, SnapError> {
-    let runs = value
-        .as_array()
-        .ok_or_else(|| SnapError::new("words: expected run-length array"))?;
-    if runs.len() % 2 != 0 {
-        return Err(SnapError::new("words: odd run-length array"));
-    }
-    let mut words = Vec::with_capacity(expect_len);
-    for pair in runs.chunks_exact(2) {
-        let len = pair[0]
-            .as_u64()
-            .ok_or_else(|| SnapError::new("words: run length not an integer"))?;
-        let val = pair[1]
-            .as_u64()
-            .and_then(|v| u32::try_from(v).ok())
-            .ok_or_else(|| SnapError::new("words: run value not a u32"))?;
-        if words.len() + len as usize > expect_len {
-            return Err(SnapError::new("words: runs exceed expected length"));
-        }
-        words.extend(std::iter::repeat_n(val, len as usize));
-    }
-    if words.len() != expect_len {
-        return Err(SnapError::new(format!(
-            "words: decoded {} words, expected {expect_len}",
-            words.len()
-        )));
-    }
-    Ok(words)
-}
-
-/// Encodes a `u64` array as a run-length JSON array (profiler bins).
-pub fn longs_to_json(values: &[u64]) -> Json {
-    let mut runs = Vec::new();
-    let mut i = 0;
-    while i < values.len() {
-        let val = values[i];
-        let mut len = 1u64;
-        while i + (len as usize) < values.len() && values[i + len as usize] == val {
-            len += 1;
-        }
-        runs.push(Json::UInt(len));
-        runs.push(Json::UInt(val));
-        i += len as usize;
-    }
-    Json::Array(runs)
-}
-
-/// Decodes a run-length `u64` array produced by [`longs_to_json`].
-///
-/// # Errors
-///
-/// Fails on malformed runs or a length mismatch.
-pub fn longs_from_json(value: &Json, expect_len: usize) -> Result<Vec<u64>, SnapError> {
-    let runs = value
-        .as_array()
-        .ok_or_else(|| SnapError::new("longs: expected run-length array"))?;
-    if runs.len() % 2 != 0 {
-        return Err(SnapError::new("longs: odd run-length array"));
-    }
-    let mut values = Vec::with_capacity(expect_len);
-    for pair in runs.chunks_exact(2) {
-        let len = pair[0]
-            .as_u64()
-            .ok_or_else(|| SnapError::new("longs: run length not an integer"))?;
-        let val = pair[1]
-            .as_u64()
-            .ok_or_else(|| SnapError::new("longs: run value not a u64"))?;
-        if values.len() + len as usize > expect_len {
-            return Err(SnapError::new("longs: runs exceed expected length"));
-        }
-        values.extend(std::iter::repeat_n(val, len as usize));
-    }
-    if values.len() != expect_len {
-        return Err(SnapError::new(format!(
-            "longs: decoded {} values, expected {expect_len}",
-            values.len()
-        )));
-    }
-    Ok(values)
+    Ok(state)
 }
 
 #[cfg(test)]
@@ -331,7 +178,7 @@ mod tests {
         Json::object()
             .with("cycle", 12345u64)
             .with("pc", 0x8000_0000u32)
-            .with("mem", words_to_json(&[0, 0, 0, 7, 7, 1, 0, 0]))
+            .with("mem", rle_encode([0u32, 0, 0, 7, 7, 1, 0, 0]))
     }
 
     #[test]
@@ -341,6 +188,7 @@ mod tests {
         let text = doc.render();
         let reopened = open(&text).expect("sealed snapshot must open");
         assert_eq!(reopened, state);
+        assert_eq!(verify(&doc), Ok(&state));
     }
 
     #[test]
@@ -379,26 +227,100 @@ mod tests {
     #[test]
     fn rle_round_trips_and_checks_length() {
         let words: Vec<u32> = (0..256).map(|i| if i % 17 == 0 { i } else { 0 }).collect();
-        let json = words_to_json(&words);
-        assert_eq!(words_from_json(&json, 256).expect("round trip"), words);
-        assert!(words_from_json(&json, 255).is_err());
-        assert!(words_from_json(&json, 257).is_err());
+        let json = Rle(256).encode(&words);
+        assert_eq!(Codec::<Vec<u32>>::decode(&Rle(256), &json), Ok(words));
+        assert!(Codec::<Vec<u32>>::decode(&Rle(255), &json).is_err());
+        assert!(Codec::<Vec<u32>>::decode(&Rle(257), &json).is_err());
 
         let longs: Vec<u64> = vec![u64::MAX, u64::MAX, 0, 1];
-        let json = longs_to_json(&longs);
-        assert_eq!(longs_from_json(&json, 4).expect("round trip"), longs);
+        let json = Rle(4).encode(&longs);
+        assert_eq!(Codec::<Vec<u64>>::decode(&Rle(4), &json), Ok(longs));
     }
 
     #[test]
-    fn typed_readers_report_context() {
-        let obj = Json::object().with("a", 1u64).with("s", "x");
-        assert_eq!(get_u64(&obj, "a"), Ok(1));
-        assert_eq!(get_str(&obj, "s"), Ok("x"));
-        assert!(get_u64(&obj, "missing")
-            .unwrap_err()
-            .context
-            .contains("missing"));
-        assert!(get_u8(&Json::object().with("b", 300u64), "b").is_err());
-        assert!(get_bool(&obj, "a").is_err());
+    fn rle_rejects_forged_lengths_without_allocating() {
+        let forged = Json::Array(vec![Json::UInt(u64::MAX), Json::UInt(1)]);
+        assert!(rle_decode::<u32>(&forged, Some(usize::MAX)).is_err());
+        assert!(rle_decode::<u32>(&forged, None).is_err());
+        let overflow = Json::Array(vec![
+            Json::UInt(1),
+            Json::UInt(1),
+            Json::UInt(u64::MAX),
+            Json::UInt(1),
+        ]);
+        assert!(rle_decode::<u32>(&overflow, None).is_err());
+        let too_long = Json::Array(vec![Json::UInt(MAX_LEN as u64 + 1), Json::UInt(0)]);
+        assert!(rle_decode::<u8>(&too_long, None).is_err());
+        let wide = Json::Array(vec![Json::UInt(1), Json::UInt(256)]);
+        assert!(rle_decode::<u8>(&wide, Some(1)).is_err());
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum Mode {
+        Idle,
+        Busy,
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Sample {
+        mode: Mode,
+        owner: Option<u8>,
+        words: Vec<u32>,
+        extra: Option<u64>,
+    }
+
+    snap_fields! {
+        impl Snap for Sample {
+            "mode" => mode: Tags(&[("idle", Mode::Idle), ("busy", Mode::Busy)]),
+            "owner" => owner: MinusOneIsNone,
+            "len" => let len: usize = words.len(),
+            "words" => words: Rle(len),
+            "extra" => extra,
+            check => ensure(words.len() < 8, || "too many words".to_string()),
+        }
+    }
+
+    #[test]
+    fn field_lists_generate_both_directions() {
+        let s = Sample {
+            mode: Mode::Busy,
+            owner: None,
+            words: vec![3, 3, 4],
+            extra: Some(9),
+        };
+        let json = s.encode();
+        assert_eq!(
+            json.render(),
+            Json::object()
+                .with("mode", "busy")
+                .with("owner", Json::Int(-1))
+                .with("len", 3u64)
+                .with("words", rle_encode([3u32, 3, 4]))
+                .with("extra", 9u64)
+                .render()
+        );
+        assert_eq!(Sample::decode(&json), Ok(s));
+    }
+
+    #[test]
+    fn decode_errors_name_the_key_path() {
+        let bad = Json::object()
+            .with("mode", "warp")
+            .with("owner", 1u64)
+            .with("len", 0u64)
+            .with("words", Json::Array(vec![]))
+            .with("extra", Json::Null);
+        let err = Sample::decode(&bad).unwrap_err();
+        assert_eq!(err.context, "mode: unknown tag `warp`");
+        let err = get::<u8>(&Json::object().with("b", 300u64), "b").unwrap_err();
+        assert_eq!(err.context, "b: expected u8");
+        assert_eq!(err.within("outer").context, "outer.b: expected u8");
+        let long = Json::object()
+            .with("mode", "idle")
+            .with("owner", 1u64)
+            .with("len", 9u64)
+            .with("words", rle_encode([0u32; 9]))
+            .with("extra", Json::Null);
+        assert_eq!(Sample::decode(&long).unwrap_err().context, "too many words");
     }
 }
