@@ -12,7 +12,7 @@ use crate::calibration::{
     instr_energy_pj, CLOCK_MW_PER_UM2, DEDICATED_WORD_ENERGY_PJ, PORT_ENERGY_PJ, POWER_FREQ_MHZ,
     STATIC_MW_PER_UM2, UNIT_WORD_ENERGY_PJ,
 };
-use rtosbench::{run_workload, workloads};
+use rtosbench::{execute_run, workloads, RunSpec, WorkloadSpec};
 use rtosunit::Preset;
 use rvsim_cores::CoreKind;
 
@@ -42,7 +42,11 @@ impl PowerReport {
 /// paper's 500 MHz operating point.
 pub fn power_report(core: CoreKind, preset: Preset) -> PowerReport {
     let w = workloads::by_name("mutex_workload").expect("mutex workload exists");
-    let r = run_workload(core, preset, &w);
+    let spec = RunSpec::new(core, preset, WorkloadSpec::Suite(w));
+    let r = execute_run(0, &spec, None, None)
+        .expect("mutex workload runs")
+        .sim
+        .expect("suite cells simulate");
     let cycles = r.cycles as f64;
     let f_hz = POWER_FREQ_MHZ * 1e6;
     let pj_to_mw = |events: f64, energy_pj: f64| {

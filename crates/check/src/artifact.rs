@@ -20,23 +20,6 @@ use rvsim_isa::progen::{GenConfig, GenOp, ProgramSpec};
 /// Artifact format version (bump on incompatible `GenOp` changes).
 pub const VERSION: u64 = 1;
 
-fn core_name(core: CoreKind) -> &'static str {
-    match core {
-        CoreKind::Cv32e40p => "cv32e40p",
-        CoreKind::Cva6 => "cva6",
-        CoreKind::NaxRiscv => "naxriscv",
-    }
-}
-
-fn core_from_name(name: &str) -> Option<CoreKind> {
-    match name {
-        "cv32e40p" => Some(CoreKind::Cv32e40p),
-        "cva6" => Some(CoreKind::Cva6),
-        "naxriscv" => Some(CoreKind::NaxRiscv),
-        _ => None,
-    }
-}
-
 const PRESET_NAMES: [(Preset, &str); 13] = [
     (Preset::Vanilla, "vanilla"),
     (Preset::Cv32rt, "cv32rt"),
@@ -88,7 +71,7 @@ pub fn lockstep_to_json(ep: &EpisodeSpec, seed: u64, mismatch: &Mismatch) -> Jso
     Json::object()
         .with("kind", Json::Str("lockstep".into()))
         .with("version", Json::UInt(VERSION))
-        .with("core", Json::Str(core_name(ep.core).into()))
+        .with("core", Json::Str(ep.core.tag().into()))
         .with("seed", Json::UInt(seed))
         .with(
             "fault",
@@ -150,7 +133,7 @@ pub fn lockstep_from_json(j: &Json) -> Option<EpisodeSpec> {
     if j.get("kind")?.as_str()? != "lockstep" || get_u64(j, "version")? != VERSION {
         return None;
     }
-    let core = core_from_name(j.get("core")?.as_str()?)?;
+    let core = CoreKind::from_tag(j.get("core")?.as_str()?)?;
     let fault = match j.get("fault") {
         Some(Json::Str(name)) => Some(Fault::from_name(name)?),
         _ => None,
@@ -250,7 +233,7 @@ pub fn oracle_to_json(spec: &ScenarioSpec, seed: u64, violation: &Violation) -> 
     Json::object()
         .with("kind", Json::Str("oracle".into()))
         .with("version", Json::UInt(VERSION))
-        .with("core", Json::Str(core_name(spec.core).into()))
+        .with("core", Json::Str(spec.core.tag().into()))
         .with("preset", Json::Str(preset_name(spec.preset).into()))
         .with("seed", Json::UInt(seed))
         .with("tick_period", Json::UInt(u64::from(spec.tick_period)))
@@ -320,7 +303,7 @@ pub fn oracle_from_json(j: &Json) -> Option<ScenarioSpec> {
         .map(Json::as_u64)
         .collect::<Option<Vec<u64>>>()?;
     Some(ScenarioSpec {
-        core: core_from_name(j.get("core")?.as_str()?)?,
+        core: CoreKind::from_tag(j.get("core")?.as_str()?)?,
         preset: preset_from_name(j.get("preset")?.as_str()?)?,
         tick_period: get_u64(j, "tick_period")? as u32,
         tasks,

@@ -797,21 +797,17 @@ impl CoreEngine {
         }
     }
 
-    /// Runs until the guest halts or `max_cycles` elapse, collecting
-    /// events through `on_event`. Returns the number of cycles executed.
+    /// Steps until the guest halts or `max_cycles` elapse. Returns the
+    /// number of cycles executed.
     pub fn run_with(
         &mut self,
         bus: &mut dyn DataBus,
         coproc: &mut dyn Coprocessor,
         max_cycles: u64,
-        mut on_event: impl FnMut(u64, CoreEvent),
     ) -> u64 {
         let start = self.cycle;
         while !self.halted && self.cycle - start < max_cycles {
-            let out = self.step(bus, coproc);
-            if let Some(ev) = out.event {
-                on_event(self.cycle, ev);
-            }
+            self.step(bus, coproc);
         }
         self.cycle - start
     }
@@ -1283,7 +1279,7 @@ mod tests {
             mem: Mem::new(0x2000_0000, 0x1_0000),
         };
         let mut co = NullCoprocessor;
-        engine.run_with(&mut bus, &mut co, 1_000_000, |_, _| {});
+        engine.run_with(&mut bus, &mut co, 1_000_000);
         assert!(engine.halted(), "program did not halt");
         (engine, bus)
     }
@@ -1363,7 +1359,7 @@ mod tests {
                 mem: Mem::new(0x2000_0000, 0x100),
             };
             let mut co = NullCoprocessor;
-            e.run_with(&mut bus, &mut co, 10_000, |_, _| {});
+            e.run_with(&mut bus, &mut co, 10_000);
             e.cycle()
         };
         let scalar = run(TimingParams::cv32e40p());
@@ -1388,7 +1384,7 @@ mod tests {
             mem: Mem::new(0x2000_0000, 0x100),
         };
         let mut co = NullCoprocessor;
-        e.run_with(&mut bus, &mut co, 10_000, |_, _| {});
+        e.run_with(&mut bus, &mut co, 10_000);
         assert!(
             e.cycle() >= 100,
             "RAW pair incorrectly dual-issued: {}",
@@ -1437,7 +1433,7 @@ mod tests {
             mem: Mem::new(0x2000_0000, 0x100),
         };
         let mut co = NullCoprocessor;
-        e.run_with(&mut bus, &mut co, 100, |_, _| {});
+        e.run_with(&mut bus, &mut co, 100);
         assert!(e.halted());
         assert_eq!(e.state.read_reg(Reg::A0), 1);
 
@@ -1451,7 +1447,7 @@ mod tests {
         e.halted = false;
         e.state.pc = 0;
         e.state.write_reg(Reg::A0, 0);
-        e.run_with(&mut bus, &mut co, 100, |_, _| {});
+        e.run_with(&mut bus, &mut co, 100);
         assert!(e.halted());
         assert_eq!(
             e.state.read_reg(Reg::A0),
@@ -1498,7 +1494,7 @@ mod tests {
             mem: Mem::new(0x2000_0000, 0x100),
         };
         let mut co = NullCoprocessor;
-        let slow_cycles = slow.run_with(&mut slow_bus, &mut co, 5_000, |_, _| {});
+        let slow_cycles = slow.run_with(&mut slow_bus, &mut co, 5_000);
 
         let mut fast = CoreEngine::new(TimingParams::cv32e40p(), 0, 0x1_0000);
         fast.load_program(&p);
@@ -1601,7 +1597,7 @@ mod tests {
                 }
             }
         } else {
-            e.run_with(&mut bus, &mut co, 1_000_000, |_, _| {});
+            e.run_with(&mut bus, &mut co, 1_000_000);
         }
         assert!(e.halted(), "torture program did not halt");
         e
@@ -1823,7 +1819,7 @@ mod tests {
                 mem: Mem::new(0x2000_0000, 0x100),
             };
             let mut co = NullCoprocessor;
-            e.run_with(&mut bus, &mut co, 1_000_000, |_, _| {});
+            e.run_with(&mut bus, &mut co, 1_000_000);
             assert!(e.halted());
             e
         };
@@ -1871,7 +1867,7 @@ mod tests {
                 mem: Mem::new(0x2000_0000, 0x100),
             };
             let mut co = NullCoprocessor;
-            e.run_with(&mut bus, &mut co, 50_000, |_, _| {});
+            e.run_with(&mut bus, &mut co, 50_000);
             assert!(e.halted());
             e
         };

@@ -48,16 +48,6 @@ impl CoreKind {
         matches!(self, CoreKind::NaxRiscv)
     }
 
-    /// Backing-memory latency behind the cache/bus, in extra cycles per
-    /// access (0 = single-cycle SRAM).
-    pub fn memory_latency(self) -> u32 {
-        match self {
-            CoreKind::Cv32e40p => 0,
-            CoreKind::Cva6 => 0,
-            CoreKind::NaxRiscv => 0,
-        }
-    }
-
     /// Display name matching the paper.
     pub fn name(self) -> &'static str {
         self.timing().name
@@ -67,6 +57,21 @@ impl CoreKind {
     /// the core kind (used by snapshot self-description).
     pub fn from_name(name: &str) -> Option<CoreKind> {
         CoreKind::ALL.into_iter().find(|k| k.name() == name)
+    }
+
+    /// Stable lowercase identifier (CLI arguments, replay artifacts,
+    /// regression seed files).
+    pub fn tag(self) -> &'static str {
+        match self {
+            CoreKind::Cv32e40p => "cv32e40p",
+            CoreKind::Cva6 => "cva6",
+            CoreKind::NaxRiscv => "naxriscv",
+        }
+    }
+
+    /// Inverse of [`tag`](Self::tag).
+    pub fn from_tag(tag: &str) -> Option<CoreKind> {
+        CoreKind::ALL.into_iter().find(|k| k.tag() == tag)
     }
 }
 
@@ -109,5 +114,15 @@ mod tests {
     fn names_match_paper() {
         let names: Vec<_> = CoreKind::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names, ["CV32E40P", "CVA6", "NaxRiscv"]);
+    }
+
+    #[test]
+    fn tags_round_trip() {
+        let tags: Vec<_> = CoreKind::ALL.iter().map(|k| k.tag()).collect();
+        assert_eq!(tags, ["cv32e40p", "cva6", "naxriscv"]);
+        for k in CoreKind::ALL {
+            assert_eq!(CoreKind::from_tag(k.tag()), Some(k));
+        }
+        assert_eq!(CoreKind::from_tag("CVA6"), None);
     }
 }

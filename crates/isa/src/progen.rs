@@ -573,6 +573,12 @@ impl ProgramSpec {
                 if misalign && off + 4 <= (after - 1) * 4 {
                     off += 2;
                 }
+                // The first word that executes — the target, or the
+                // handler's realigned resume word — must not skip the `la`
+                // of a controlled `mret`, which would return to a stale
+                // `t6`: back up to the item's start.
+                let next = off.div_euclid(4) + i32::from(off % 4 != 0);
+                off -= 4 * self.words_into_mret(landing, next);
                 a.jalr(rd, Reg::S10, off);
             }
             GenOp::Csr { op, csr, rd, src } => {
@@ -593,6 +599,25 @@ impl ProgramSpec {
             }
             GenOp::Ecall => a.ecall(),
         }
+    }
+
+    /// How many words body word `word` (counted from the landing pad) lies
+    /// past the start of the controlled-`mret` item containing it; 0 for
+    /// an item's first word, any other kind of item, or the final `ebreak`.
+    fn words_into_mret(&self, landing: usize, word: i32) -> i32 {
+        let mut start = -self.ops[..landing].iter().map(Self::op_words).sum::<i32>();
+        for op in &self.ops {
+            let end = start + Self::op_words(op);
+            if (start..end).contains(&word) {
+                return if matches!(op, GenOp::Mret { .. }) {
+                    word - start
+                } else {
+                    0
+                };
+            }
+            start = end;
+        }
+        0
     }
 
     /// Re-creates a spec from decoded artifact fields.
@@ -809,6 +834,47 @@ mod tests {
                 decode(*w).unwrap_or_else(|e| {
                     panic!("seed {seed}, word {i} undecodable: {e}");
                 });
+            }
+        }
+    }
+
+    #[test]
+    fn jalr_never_lands_inside_a_controlled_mret() {
+        // Decodes every emitted `jalr s10` and checks the first word it
+        // executes — the target, or the realigned word the trap handler
+        // resumes at after a misaligned target — against the words of
+        // every controlled-mret item that follow its `la t6`.
+        for seed in 0..10_000 {
+            let spec = generate(seed, GenConfig::default());
+            let prog = spec.emit();
+            let body = prog.symbols.addr(&ProgramSpec::label(0));
+            let pad = prog.symbols.addr(&ProgramSpec::label(spec.landing_index()));
+            let addr = |i: usize| prog.base + 4 * i as u32;
+            let instrs: Vec<Instr> = prog
+                .words
+                .iter()
+                .map(|w| decode(*w).expect("decodes"))
+                .collect();
+            let inside_mret: Vec<u32> = (0..instrs.len())
+                .filter(|&i| instrs[i] == Instr::Mret && addr(i) >= body)
+                .flat_map(|i| [addr(i) - 8, addr(i) - 4, addr(i)])
+                .collect();
+            for (i, instr) in instrs.iter().enumerate() {
+                let Instr::Jalr {
+                    rs1: Reg::S10,
+                    offset,
+                    ..
+                } = *instr
+                else {
+                    continue;
+                };
+                let target = pad.wrapping_add_signed(offset);
+                let next = (target + 3) & !3;
+                assert!(
+                    next < prog.end() && !inside_mret.contains(&next),
+                    "seed {seed}: jalr at {:#x} runs {next:#x} next",
+                    addr(i)
+                );
             }
         }
     }

@@ -237,7 +237,7 @@ fn run_sequence(prios: &[u8; N_TASKS], ops: &[ListOp]) -> Result<(), TestCaseErr
 
     let mut engine = make_engine(CoreKind::Cv32e40p, 0, 0x4_0000);
     engine.load_program(&prog);
-    engine.run_with(&mut bus, &mut NullCoprocessor, 10_000_000, |_, _| {});
+    engine.run_with(&mut bus, &mut NullCoprocessor, 10_000_000);
     prop_assert!(engine.halted(), "guest list code did not halt");
 
     // Reconstruct the guest's lists from memory and compare.

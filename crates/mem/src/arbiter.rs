@@ -212,11 +212,6 @@ impl BusArbiter {
     pub fn master_stats(&self, master: usize) -> BusMasterStats {
         self.stats[master]
     }
-
-    /// Statistics for all masters, in hart order.
-    pub fn all_stats(&self) -> &[BusMasterStats] {
-        &self.stats
-    }
 }
 
 /// Per-master statistics as one flat `[grants, wait_cycles, max_wait, ...]`

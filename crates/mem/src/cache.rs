@@ -257,14 +257,6 @@ impl Cache {
         false
     }
 
-    /// Invalidates everything (no write-back; the simulator keeps data in
-    /// RAM synchronously, so this is purely a timing-state reset).
-    pub fn invalidate_all(&mut self) {
-        for line in &mut self.lines {
-            *line = Line::default();
-        }
-    }
-
     /// Whether the line containing `addr` is currently resident.
     pub fn probe(&self, addr: u32) -> bool {
         let (set, tag) = {

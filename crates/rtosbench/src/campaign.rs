@@ -72,15 +72,6 @@ impl FilterPolicy {
             FilterPolicy::All => records.to_vec(),
         }
     }
-
-    fn label(self) -> &'static str {
-        match self {
-            FilterPolicy::Standard => "standard",
-            FilterPolicy::WarmupOnly => "warmup_only",
-            FilterPolicy::WarmupTimerTicks => "warmup_timer_ticks",
-            FilterPolicy::All => "all",
-        }
-    }
 }
 
 /// A pre-boot platform/system reconfiguration (the ablation knobs).
@@ -109,15 +100,6 @@ impl ConfigOverride {
                 }
             }
             ConfigOverride::TimerPeriod(p) => sys.set_timer_period(p),
-        }
-    }
-
-    fn to_json(self) -> Json {
-        match self {
-            ConfigOverride::CtxQueueDepth(d) => Json::object().with("ctx_queue_depth", d),
-            ConfigOverride::UnitArbitration(s) => Json::object().with("unit_shares_cache", s),
-            ConfigOverride::UnitListLen(l) => Json::object().with("unit_list_len", l),
-            ConfigOverride::TimerPeriod(p) => Json::object().with("timer_period", p),
         }
     }
 }
@@ -494,13 +476,6 @@ pub struct CampaignSpec {
     /// the budget fails as [`FailureKind::TimedOut`] instead of hanging
     /// the whole campaign on one runaway guest.
     pub wall_limit: Option<Duration>,
-    /// How many times a panicked or timed-out run is retried (with a
-    /// short exponential backoff) before its failure is recorded. Build
-    /// failures are deterministic and never retried.
-    pub retries: u32,
-    /// Directory to write one replayable JSON artifact per failed run
-    /// into (`<campaign>_run<index>.json`). `None` disables quarantine.
-    pub quarantine: Option<std::path::PathBuf>,
 }
 
 impl CampaignSpec {
@@ -513,26 +488,12 @@ impl CampaignSpec {
             slo: None,
             progress: false,
             wall_limit: None,
-            retries: 1,
-            quarantine: None,
         }
     }
 
     /// Sets the per-run host wall-time watchdog.
     pub fn with_wall_limit(mut self, limit: Duration) -> CampaignSpec {
         self.wall_limit = Some(limit);
-        self
-    }
-
-    /// Sets the retry budget for panicked / timed-out runs.
-    pub fn with_retries(mut self, retries: u32) -> CampaignSpec {
-        self.retries = retries;
-        self
-    }
-
-    /// Enables quarantine artifacts for failed runs under `dir`.
-    pub fn with_quarantine(mut self, dir: impl Into<std::path::PathBuf>) -> CampaignSpec {
-        self.quarantine = Some(dir.into());
         self
     }
 
@@ -588,9 +549,7 @@ impl CampaignSpec {
     /// The executor is crash-tolerant: every run executes under
     /// `catch_unwind`, so one panicking or runaway run costs exactly its
     /// own result. The campaign always completes, carrying partial
-    /// results plus a [`Campaign::failures`] report (and, with
-    /// [`with_quarantine`](Self::with_quarantine), one replayable JSON
-    /// artifact per failure).
+    /// results plus a [`Campaign::failures`] report.
     pub fn run(&self, workers: usize) -> Campaign {
         let started = Instant::now();
         let n = self.runs.len();
@@ -605,14 +564,12 @@ impl CampaignSpec {
                 let runs = &self.runs;
                 let default_slo = self.slo;
                 let wall_limit = self.wall_limit;
-                let retries = self.retries;
                 scope.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= runs.len() {
                         break;
                     }
-                    let result =
-                        execute_with_recovery(i, &runs[i], default_slo, wall_limit, retries);
+                    let result = execute_with_recovery(i, &runs[i], default_slo, wall_limit);
                     if tx.send((i, result)).is_err() {
                         break;
                     }
@@ -650,11 +607,6 @@ impl CampaignSpec {
                     detail: "worker terminated without delivering this run".to_string(),
                     attempts: 0,
                 }),
-            }
-        }
-        if let Some(dir) = &self.quarantine {
-            for f in &failures {
-                quarantine_failure(dir, self.name, self, f);
             }
         }
         Campaign {
@@ -722,17 +674,19 @@ impl RunFailure {
     }
 }
 
-/// Executes one run with panic isolation and bounded retry: panics and
-/// timeouts retry up to `retries` times with a short exponential
-/// backoff (transient host conditions — memory pressure, scheduler
-/// hiccups blowing a wall limit); build failures are deterministic and
-/// fail immediately.
+/// How many times a panicked or timed-out run is retried before its
+/// failure is recorded.
+const RETRIES: u32 = 1;
+
+/// Executes one run with panic isolation: panics and timeouts (transient
+/// host conditions — memory pressure, scheduler hiccups blowing a wall
+/// limit) are retried [`RETRIES`] times; build failures are
+/// deterministic and fail immediately.
 fn execute_with_recovery(
     index: usize,
     spec: &RunSpec,
     default_slo: Option<u64>,
     wall_limit: Option<Duration>,
-    retries: u32,
 ) -> Result<RunOutcome, RunFailure> {
     let mut attempt = 0u32;
     loop {
@@ -755,12 +709,9 @@ fn execute_with_recovery(
             },
         };
         let transient = matches!(failure.kind, FailureKind::Panicked | FailureKind::TimedOut);
-        if !transient || attempt > retries {
+        if !transient || attempt > RETRIES {
             return Err(failure);
         }
-        // Bounded backoff: 10ms, 20ms, 40ms, ... capped at 200ms.
-        let backoff = Duration::from_millis((10u64 << (attempt - 1).min(5)).min(200));
-        std::thread::sleep(backoff);
     }
 }
 
@@ -771,49 +722,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Writes one replayable quarantine artifact for a failed run:
-/// the failure report plus the full spec shape of the run (label, core,
-/// preset, workload, overrides), enough to rebuild and re-execute it.
-/// Write errors are reported to stderr, never escalated — quarantine is
-/// best-effort by design.
-fn quarantine_failure(dir: &std::path::Path, campaign: &str, spec: &CampaignSpec, f: &RunFailure) {
-    let run = &spec.runs[f.index];
-    let doc = Json::object()
-        .with("schema", "rtosunit-quarantine-v1")
-        .with("campaign", campaign)
-        .with("failure", f.to_json())
-        .with(
-            "run",
-            Json::object()
-                .with("label", run.label())
-                .with("core", run.core.name())
-                .with("preset", run.preset.label())
-                .with("workload", run.workload.name())
-                .with("param", run.workload.param())
-                .with("filter", run.filter.label())
-                .with("stepwise", run.stepwise)
-                .with("harts", run.harts)
-                .with(
-                    "overrides",
-                    run.overrides
-                        .iter()
-                        .map(|o| o.to_json())
-                        .collect::<Vec<_>>(),
-                ),
-        );
-    let write = || -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{campaign}_run{}.json", f.index));
-        std::fs::write(path, doc.render())
-    };
-    if let Err(e) = write() {
-        eprintln!(
-            "[{campaign}] quarantine write failed for run {}: {e}",
-            f.index
-        );
     }
 }
 
@@ -900,6 +808,21 @@ impl Campaign {
     /// The outcome with the given label, if any.
     pub fn find(&self, label: &str) -> Option<&RunOutcome> {
         self.outcomes.iter().find(|o| o.label == label)
+    }
+
+    /// Fig. 9 pooling: the filtered latencies of every simulated run on
+    /// `(core, preset)` — the suite workloads, in a
+    /// [`matrix`](CampaignSpec::matrix) campaign — pooled into one set of
+    /// statistics. `None` when those runs measured no switch.
+    pub fn pooled_stats(&self, core: CoreKind, preset: Preset) -> Option<LatencyStats> {
+        let pooled: Vec<u64> = self
+            .outcomes
+            .iter()
+            .filter(|o| o.core == core && o.preset == preset)
+            .filter_map(|o| o.sim.as_ref())
+            .flat_map(|sim| sim.latencies.iter().copied())
+            .collect();
+        LatencyStats::from_latencies(&pooled)
     }
 
     /// Attaches a named extra section to the JSON artifact (rendered
@@ -1077,7 +1000,17 @@ impl Campaign {
     }
 }
 
-fn execute_run(
+/// Executes one cell of a campaign — the executor's per-cell function,
+/// which [`CampaignSpec::run`] calls for every run (under panic isolation
+/// and retry). `index` is recorded in the outcome, `default_slo` applies
+/// when the spec sets no [`RunSpec::slo`], and `wall_limit` arms the
+/// per-run watchdog.
+///
+/// # Errors
+///
+/// A kernel build failure or a watchdog expiry, as a [`RunFailure`]
+/// (with `attempts` left at 0 for the caller to fill in).
+pub fn execute_run(
     index: usize,
     spec: &RunSpec,
     default_slo: Option<u64>,
@@ -1456,27 +1389,6 @@ fn waterfall_json(episodes: &[EpisodeWaterfall]) -> Json {
         .with("phases", phases)
 }
 
-/// Renders the spec itself (shape, not results) — a debugging aid kept
-/// deterministic like everything else in this module.
-pub fn spec_to_json(spec: &CampaignSpec) -> Json {
-    Json::object().with("campaign", spec.name).with(
-        "runs",
-        spec.runs
-            .iter()
-            .map(|r| {
-                Json::object()
-                    .with("label", r.label())
-                    .with("filter", r.filter.label())
-                    .with("stepwise", r.stepwise)
-                    .with(
-                        "overrides",
-                        r.overrides.iter().map(|o| o.to_json()).collect::<Vec<_>>(),
-                    )
-            })
-            .collect::<Vec<_>>(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1495,9 +1407,6 @@ mod tests {
 
     #[test]
     fn campaign_survives_panics_timeouts_and_build_failures() {
-        let qdir =
-            std::env::temp_dir().join(format!("rtosbench_quarantine_test_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&qdir);
         let good = RunSpec::new(
             CoreKind::Cv32e40p,
             Preset::Vanilla,
@@ -1549,8 +1458,6 @@ mod tests {
             .with(runaway)
             .with(unbuildable)
             .with_wall_limit(Duration::from_millis(500))
-            .with_retries(1)
-            .with_quarantine(&qdir)
             .run(2);
         // The campaign completed with partial results: the good run's
         // outcome plus one reported failure per broken run.
@@ -1574,18 +1481,63 @@ mod tests {
         let nobuild = by_label("nobuild");
         assert_eq!(nobuild.kind, FailureKind::Build);
         assert_eq!(nobuild.attempts, 1, "build failures are never retried");
-        // The artifact reports the failures...
+        // The artifact reports the failures.
         let rendered = c.to_json().render();
         assert!(rendered.contains("\"failures\""));
         assert!(rendered.contains("\"timed_out\""));
-        // ...and each failure left a replayable quarantine artifact.
-        for f in &c.failures {
-            let path = qdir.join(format!("test_resilience_run{}.json", f.index));
-            let body = std::fs::read_to_string(&path).expect("quarantine artifact exists");
-            assert!(body.contains("rtosunit-quarantine-v1"));
-            assert!(body.contains(f.kind.name()));
+    }
+
+    /// One suite cell through the executor's per-cell function.
+    fn run_cell(core: CoreKind, preset: Preset, name: &str) -> SimOutcome {
+        let w = workloads::by_name(name).expect("exists");
+        let spec = RunSpec::new(core, preset, WorkloadSpec::Suite(w));
+        execute_run(0, &spec, None, None)
+            .expect("cell runs")
+            .sim
+            .expect("suite cells simulate")
+    }
+
+    #[test]
+    fn every_workload_produces_switches_on_vanilla() {
+        for w in workloads::ALL {
+            let sim = run_cell(CoreKind::Cv32e40p, Preset::Vanilla, w.name);
+            assert!(
+                sim.latencies.len() >= 20,
+                "{}: only {} switches (paper needs 20 iterations)",
+                w.name,
+                sim.latencies.len()
+            );
         }
-        let _ = std::fs::remove_dir_all(&qdir);
+    }
+
+    #[test]
+    fn slt_beats_vanilla_on_mean_latency() {
+        let v = run_cell(CoreKind::Cv32e40p, Preset::Vanilla, "roundrobin_yield");
+        let s = run_cell(CoreKind::Cv32e40p, Preset::Slt, "roundrobin_yield");
+        let vm = v.stats().expect("switches").mean;
+        let sm = s.stats().expect("switches").mean;
+        assert!(
+            sm < vm * 0.6,
+            "SLT ({sm:.0}) should be well below vanilla ({vm:.0})"
+        );
+    }
+
+    #[test]
+    fn unit_port_usage_only_with_unit() {
+        let v = run_cell(CoreKind::Cv32e40p, Preset::Vanilla, "pingpong_semaphore");
+        assert_eq!(v.port.2, 0, "vanilla has no unit traffic");
+        let s = run_cell(CoreKind::Cv32e40p, Preset::Slt, "pingpong_semaphore");
+        assert!(s.port.2 > 0, "SLT unit must use idle cycles");
+    }
+
+    #[test]
+    fn pooled_stats_cover_exactly_the_cell() {
+        let c = tiny_spec().run(2);
+        let pooled = c
+            .pooled_stats(CoreKind::Cv32e40p, Preset::Slt)
+            .expect("switches");
+        assert_eq!(Some(pooled), c.outcomes[1].stats());
+        assert!(c.pooled_stats(CoreKind::NaxRiscv, Preset::Slt).is_none());
     }
 
     fn tiny_spec() -> CampaignSpec {

@@ -1,8 +1,7 @@
-//! Executes workloads and aggregates the Fig. 9 rows.
+//! The episode filter every measurement path applies before latencies
+//! are reported.
 
-use crate::workloads::{self, Workload};
-use rtosunit::cv32rt::Cv32rtStats;
-use rtosunit::{LatencyStats, Preset, SwitchRecord, System, UnitStats};
+use rtosunit::SwitchRecord;
 use rvsim_cores::CoreKind;
 
 /// Switches skipped at the start of each run (cold contexts).
@@ -34,136 +33,9 @@ pub fn filter_episodes(core: CoreKind, records: &[SwitchRecord]) -> Vec<SwitchRe
         .collect()
 }
 
-/// Result of one `(core, preset, workload)` run.
-#[derive(Debug, Clone)]
-pub struct RunResult {
-    /// Core model.
-    pub core: CoreKind,
-    /// Unit configuration.
-    pub preset: Preset,
-    /// Workload name.
-    pub workload: &'static str,
-    /// Context-switch latencies after warm-up, in cycles.
-    pub latencies: Vec<u64>,
-    /// The filtered switch episodes behind `latencies` (for per-cause
-    /// breakdowns via [`rtosunit::trace`]).
-    pub records: Vec<SwitchRecord>,
-    /// Cycles simulated.
-    pub cycles: u64,
-    /// Instructions retired.
-    pub retired: u64,
-    /// RTOSUnit activity counters, if a unit was attached.
-    pub unit: Option<UnitStats>,
-    /// CV32RT activity counters, if the comparison unit was attached.
-    pub cv32rt: Option<Cv32rtStats>,
-    /// Data-port occupancy `(total, core, unit)` cycles.
-    pub port: (u64, u64, u64),
-}
-
-impl RunResult {
-    /// Latency statistics of this run.
-    pub fn stats(&self) -> Option<LatencyStats> {
-        LatencyStats::from_latencies(&self.latencies)
-    }
-}
-
-/// Runs one workload on one `(core, preset)` pair.
-///
-/// # Panics
-///
-/// Panics if the workload fails to build (a bug in the suite itself).
-pub fn run_workload(core: CoreKind, preset: Preset, workload: &Workload) -> RunResult {
-    run_workload_with(core, preset, workload, |_| {})
-}
-
-/// As [`run_workload`], with a hook to reconfigure the freshly built
-/// [`System`] before the guest boots (used by the ablation studies to
-/// change the ctxQueue depth or the arbitration level).
-pub fn run_workload_with(
-    core: CoreKind,
-    preset: Preset,
-    workload: &Workload,
-    configure: impl FnOnce(&mut System),
-) -> RunResult {
-    let image = workloads::build(workload, preset).expect("workload builds");
-    let mut sys = System::new(core, preset);
-    configure(&mut sys);
-    image.install(&mut sys);
-    if workload.ext_irq_interval > 0 {
-        let mut at = workload.ext_irq_interval;
-        while at < workload.run_cycles {
-            sys.schedule_external_irq(at);
-            at += workload.ext_irq_interval;
-        }
-    }
-    sys.run(workload.run_cycles);
-    let records = filter_episodes(core, sys.records());
-    let latencies: Vec<u64> = records.iter().map(SwitchRecord::latency).collect();
-    RunResult {
-        core,
-        preset,
-        workload: workload.name,
-        latencies,
-        records,
-        cycles: sys.platform.cycle(),
-        retired: sys.core.retired(),
-        unit: sys.unit_stats(),
-        cv32rt: sys.cv32rt_unit().map(|u| u.stats),
-        port: sys.platform.port_occupancy(),
-    }
-}
-
-/// One row of the Fig. 9 aggregation: all workloads pooled for a
-/// `(core, preset)` pair.
-#[derive(Debug, Clone)]
-pub struct Fig9Row {
-    /// Core model.
-    pub core: CoreKind,
-    /// Unit configuration.
-    pub preset: Preset,
-    /// Pooled statistics (µ, min, max; Δ = jitter).
-    pub stats: LatencyStats,
-    /// Per-workload statistics in suite order.
-    pub per_workload: Vec<(&'static str, LatencyStats)>,
-}
-
-impl Fig9Row {
-    /// Mean latency (µ).
-    pub fn mean(&self) -> f64 {
-        self.stats.mean
-    }
-
-    /// Jitter (Δ = max − min).
-    pub fn jitter(&self) -> u64 {
-        self.stats.jitter()
-    }
-}
-
-/// Runs the full suite for one `(core, preset)` pair and pools the
-/// latencies across workloads, as Fig. 9 does.
-pub fn run_suite(core: CoreKind, preset: Preset) -> Fig9Row {
-    let mut pooled = Vec::new();
-    let mut per_workload = Vec::new();
-    for w in workloads::ALL {
-        let r = run_workload(core, preset, &w);
-        if let Some(s) = r.stats() {
-            per_workload.push((w.name, s));
-        }
-        pooled.extend(r.latencies);
-    }
-    let stats = LatencyStats::from_latencies(&pooled).expect("suite produced no context switches");
-    Fig9Row {
-        core,
-        preset,
-        stats,
-        per_workload,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workloads::ALL;
 
     fn record(trigger: u64, entry: u64, mret: u64) -> SwitchRecord {
         SwitchRecord {
@@ -221,40 +93,5 @@ mod tests {
                 u64::from(core.timing().irq_entry_latency) + 8
             );
         }
-    }
-
-    #[test]
-    fn every_workload_produces_switches_on_vanilla() {
-        for w in ALL {
-            let r = run_workload(CoreKind::Cv32e40p, Preset::Vanilla, &w);
-            assert!(
-                r.latencies.len() >= 20,
-                "{}: only {} switches (paper needs 20 iterations)",
-                w.name,
-                r.latencies.len()
-            );
-        }
-    }
-
-    #[test]
-    fn slt_beats_vanilla_on_mean_latency() {
-        let w = crate::workloads::by_name("roundrobin_yield").expect("exists");
-        let v = run_workload(CoreKind::Cv32e40p, Preset::Vanilla, &w);
-        let s = run_workload(CoreKind::Cv32e40p, Preset::Slt, &w);
-        let vm = v.stats().expect("switches").mean;
-        let sm = s.stats().expect("switches").mean;
-        assert!(
-            sm < vm * 0.6,
-            "SLT ({sm:.0}) should be well below vanilla ({vm:.0})"
-        );
-    }
-
-    #[test]
-    fn unit_port_usage_only_with_unit() {
-        let w = crate::workloads::by_name("pingpong_semaphore").expect("exists");
-        let v = run_workload(CoreKind::Cv32e40p, Preset::Vanilla, &w);
-        assert_eq!(v.port.2, 0, "vanilla has no unit traffic");
-        let s = run_workload(CoreKind::Cv32e40p, Preset::Slt, &w);
-        assert!(s.port.2 > 0, "SLT unit must use idle cycles");
     }
 }

@@ -1,4 +1,4 @@
-//! The five RTOSBench-style workloads.
+//! The seven RTOSBench-style workloads.
 
 use freertos_lite::{GuestImage, KernelBuilder, KernelError};
 use rtosunit::Preset;

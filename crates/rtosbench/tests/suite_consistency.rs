@@ -2,7 +2,7 @@
 //! pool the per-workload runs, and the newer workloads must exercise the
 //! kernel paths they claim to.
 
-use rtosbench::{run_workload, workloads, Fig9Row};
+use rtosbench::{execute_run, workloads, CampaignSpec, RunSpec, SimOutcome, WorkloadSpec};
 use rtosunit::{LatencyStats, Preset};
 use rvsim_cores::CoreKind;
 
@@ -12,10 +12,18 @@ fn short(w: &workloads::Workload) -> workloads::Workload {
     w
 }
 
+fn run_cell(core: CoreKind, preset: Preset, w: &workloads::Workload) -> SimOutcome {
+    let spec = RunSpec::new(core, preset, WorkloadSpec::Suite(*w));
+    execute_run(0, &spec, None, None)
+        .expect("cell runs")
+        .sim
+        .expect("suite cells simulate")
+}
+
 #[test]
 fn queue_burst_exercises_counting_semantics() {
     let w = short(&workloads::by_name("queue_burst").expect("exists"));
-    let r = run_workload(CoreKind::Cv32e40p, Preset::Slt, &w);
+    let r = run_cell(CoreKind::Cv32e40p, Preset::Slt, &w);
     assert!(r.latencies.len() > 20, "bursts must produce switches");
     // The flow-control semaphore bounds the queue: the run must not
     // deadlock (progress implies takes and gives kept pairing up).
@@ -25,7 +33,7 @@ fn queue_burst_exercises_counting_semantics() {
 #[test]
 fn priority_chain_produces_back_to_back_preemptions() {
     let w = short(&workloads::by_name("priority_chain").expect("exists"));
-    let r = run_workload(CoreKind::Cv32e40p, Preset::Vanilla, &w);
+    let r = run_cell(CoreKind::Cv32e40p, Preset::Vanilla, &w);
     // Each chain round is low→mid→high→(unwind): several voluntary
     // switches per round, all software-caused.
     let yields = r
@@ -41,44 +49,27 @@ fn priority_chain_produces_back_to_back_preemptions() {
 
 #[test]
 fn pooled_stats_match_manual_pooling() {
-    // Rebuild a Fig9Row by hand from per-workload runs and compare.
+    // Pool the per-workload cells by hand and compare with the campaign's
+    // Fig. 9 pooling over the same matrix.
     let core = CoreKind::Cv32e40p;
     let preset = Preset::T;
     let mut pooled = Vec::new();
     for w in workloads::ALL {
-        pooled.extend(run_workload(core, preset, &w).latencies);
+        pooled.extend(run_cell(core, preset, &w).latencies);
     }
     let manual = LatencyStats::from_latencies(&pooled).expect("latencies");
-    let row = rtosbench::run_suite(core, preset);
-    assert_eq!(row.stats.count, manual.count);
-    assert_eq!(row.stats.min, manual.min);
-    assert_eq!(row.stats.max, manual.max);
-    assert!((row.stats.mean - manual.mean).abs() < 1e-9);
-}
-
-#[test]
-fn report_tables_render_all_rows() {
-    let rows: Vec<Fig9Row> = [Preset::Vanilla, Preset::Slt]
-        .into_iter()
-        .map(|p| rtosbench::run_suite(CoreKind::Cv32e40p, p))
-        .collect();
-    let table = rtosbench::report::fig9_table("CV32E40P", &rows);
-    assert!(table.contains("(vanilla)"));
-    assert!(table.contains("(SLT)"));
-    let breakdown = rtosbench::report::workload_breakdown(&rows[0]);
-    for w in workloads::ALL {
-        assert!(
-            breakdown.contains(w.name),
-            "missing {} in breakdown",
-            w.name
-        );
-    }
+    let campaign = CampaignSpec::matrix("pool", &[core], &[preset], &workloads::ALL).run(2);
+    let row = campaign.pooled_stats(core, preset).expect("latencies");
+    assert_eq!(row.count, manual.count);
+    assert_eq!(row.min, manual.min);
+    assert_eq!(row.max, manual.max);
+    assert!((row.mean - manual.mean).abs() < 1e-9);
 }
 
 #[test]
 fn records_and_latencies_stay_in_sync() {
     let w = short(&workloads::by_name("mutex_workload").expect("exists"));
-    let r = run_workload(CoreKind::Cva6, Preset::Sl, &w);
+    let r = run_cell(CoreKind::Cva6, Preset::Sl, &w);
     assert_eq!(r.records.len(), r.latencies.len());
     for (rec, lat) in r.records.iter().zip(&r.latencies) {
         assert_eq!(rec.latency(), *lat);

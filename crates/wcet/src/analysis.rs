@@ -289,19 +289,20 @@ mod tests {
     #[test]
     fn wcet_upper_bounds_measured_latency() {
         // The static bound must dominate every measured switch.
-        use rtosbench::{run_workload, WORKLOADS};
+        use rtosbench::{CampaignSpec, WORKLOADS};
         use rvsim_cores::CoreKind;
-        for preset in [Preset::Vanilla, Preset::T, Preset::Slt] {
-            let bound = analyze_preset(preset).total_cycles;
-            for w in WORKLOADS {
-                let r = run_workload(CoreKind::Cv32e40p, preset, &w);
-                let max = r.latencies.iter().max().copied().unwrap_or(0);
-                assert!(
-                    max <= bound,
-                    "{preset}/{}: measured {max} exceeds WCET bound {bound}",
-                    w.name
-                );
-            }
+        let presets = [Preset::Vanilla, Preset::T, Preset::Slt];
+        let campaign =
+            CampaignSpec::matrix("wcet_bound", &[CoreKind::Cv32e40p], &presets, &WORKLOADS).run(2);
+        assert_eq!(campaign.outcomes.len(), presets.len() * WORKLOADS.len());
+        for o in &campaign.outcomes {
+            let bound = analyze_preset(o.preset).total_cycles;
+            let max = o.stats().map_or(0, |s| s.max);
+            assert!(
+                max <= bound,
+                "{}: measured {max} exceeds WCET bound {bound}",
+                o.label
+            );
         }
     }
 

@@ -6,31 +6,39 @@
 //! where `core` is one of `cv32e40p` (default), `cva6`, `naxriscv`.
 
 use rtosunit_suite::asic::{area_report, fmax_report, power_report};
-use rtosunit_suite::bench::run_suite;
+use rtosunit_suite::bench::{workloads, CampaignSpec};
 use rtosunit_suite::cores::CoreKind;
 use rtosunit_suite::unit::Preset;
 
 fn main() {
-    let kind = match std::env::args().nth(1).as_deref() {
-        None | Some("cv32e40p") => CoreKind::Cv32e40p,
-        Some("cva6") => CoreKind::Cva6,
-        Some("naxriscv") => CoreKind::NaxRiscv,
-        Some(other) => panic!("unknown core `{other}`"),
+    let kind = match std::env::args().nth(1) {
+        None => CoreKind::Cv32e40p,
+        Some(tag) => CoreKind::from_tag(&tag).unwrap_or_else(|| panic!("unknown core `{tag}`")),
     };
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let campaign = CampaignSpec::matrix(
+        "config_explorer",
+        &[kind],
+        &Preset::LATENCY_SET,
+        &workloads::ALL,
+    )
+    .run(workers);
     println!("# {kind}: configuration trade-offs (paper §6.4)\n");
     println!(
         "{:<10} {:>8} {:>8} {:>9} {:>10} {:>9}",
         "config", "µ (cyc)", "Δ (cyc)", "area ovh", "fmax (MHz)", "power(mW)"
     );
     for preset in Preset::LATENCY_SET {
-        let row = run_suite(kind, preset);
+        let row = campaign
+            .pooled_stats(kind, preset)
+            .expect("suite produced no context switches");
         let area = area_report(kind, preset);
         let fmax = fmax_report(kind, preset);
         let power = power_report(kind, preset);
         println!(
             "{:<10} {:>8.1} {:>8} {:>8.1}% {:>10.0} {:>9.2}",
             preset.label(),
-            row.mean(),
+            row.mean,
             row.jitter(),
             area.overhead() * 100.0,
             fmax.fmax_mhz,

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example wcet_analysis --release`
 
-use rtosunit_suite::bench::{run_workload, WORKLOADS};
+use rtosunit_suite::bench::{CampaignSpec, WORKLOADS};
 use rtosunit_suite::cores::CoreKind;
 use rtosunit_suite::unit::Preset;
 use rtosunit_suite::wcet::analyze_preset;
@@ -14,20 +14,23 @@ fn main() {
         "{:<10} {:>10} {:>12} {:>10} {:>14}",
         "config", "sw cycles", "fsm stalls", "WCET", "worst measured"
     );
-    for preset in [
+    let presets = [
         Preset::Vanilla,
         Preset::S,
         Preset::Sl,
         Preset::T,
         Preset::St,
         Preset::Slt,
-    ] {
+    ];
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let campaign =
+        CampaignSpec::matrix("wcet_analysis", &[CoreKind::Cv32e40p], &presets, &WORKLOADS)
+            .run(workers);
+    for preset in presets {
         let r = analyze_preset(preset);
-        let measured = WORKLOADS
-            .iter()
-            .flat_map(|w| run_workload(CoreKind::Cv32e40p, preset, w).latencies)
-            .max()
-            .unwrap_or(0);
+        let measured = campaign
+            .pooled_stats(CoreKind::Cv32e40p, preset)
+            .map_or(0, |s| s.max);
         println!(
             "{:<10} {:>10} {:>12} {:>10} {:>14}",
             preset.label(),

@@ -2,13 +2,14 @@
 //! hold in the reproduction (scaled-down runs so they stay fast in debug
 //! builds; the full-size sweeps live in the `fig9` binary).
 
-use rtosunit_suite::bench::{run_workload, WORKLOADS};
+use rtosunit_suite::bench::{execute_run, CampaignSpec, RunSpec, WorkloadSpec, WORKLOADS};
 use rtosunit_suite::cores::CoreKind;
 use rtosunit_suite::unit::Preset;
 
 fn mean_latency(kind: CoreKind, preset: Preset, workload: &str) -> (f64, u64, usize) {
     let w = rtosunit_suite::bench::workloads::by_name(workload).expect("workload");
-    let r = run_workload(kind, preset, &w);
+    let spec = RunSpec::new(kind, preset, WorkloadSpec::Suite(w));
+    let r = execute_run(0, &spec, None, None).expect("cell runs");
     let s = r.stats().expect("switches recorded");
     (s.mean, s.jitter(), s.count)
 }
@@ -93,18 +94,19 @@ fn cv32rt_gains_are_modest_compared_to_s() {
 #[test]
 fn every_workload_runs_on_every_core_and_preset_smoke() {
     // One cheap smoke pass over the full matrix (reduced cycle budget).
-    for kind in CoreKind::ALL {
-        for preset in [Preset::Vanilla, Preset::Slt, Preset::Split, Preset::Cv32rt] {
-            for w in WORKLOADS {
-                let mut short = w;
-                short.run_cycles = 120_000;
-                let r = run_workload(kind, preset, &short);
-                assert!(
-                    !r.latencies.is_empty(),
-                    "{kind}/{preset}/{}: no switches",
-                    w.name
-                );
-            }
-        }
+    let short = WORKLOADS.map(|mut w| {
+        w.run_cycles = 120_000;
+        w
+    });
+    let presets = [Preset::Vanilla, Preset::Slt, Preset::Split, Preset::Cv32rt];
+    let c = CampaignSpec::matrix("smoke", &CoreKind::ALL, &presets, &short).run(2);
+    assert!(c.failures.is_empty(), "{:?}", c.failures);
+    assert_eq!(
+        c.outcomes.len(),
+        CoreKind::ALL.len() * presets.len() * short.len()
+    );
+    for o in &c.outcomes {
+        let sim = o.sim.as_ref().expect("suite cells simulate");
+        assert!(!sim.latencies.is_empty(), "{}: no switches", o.label);
     }
 }

@@ -3,7 +3,7 @@
 //! simulator.
 
 use rtosunit_suite::asic::{area_report, power_report};
-use rtosunit_suite::bench::{run_workload, workloads};
+use rtosunit_suite::bench::{execute_run, workloads, CampaignSpec, RunSpec, WorkloadSpec};
 use rtosunit_suite::cores::{CoreKind, FaultEvent, FaultKind, FaultPlan};
 use rtosunit_suite::isa::{decode, Instr};
 use rtosunit_suite::kernel::KernelBuilder;
@@ -18,7 +18,13 @@ fn simulation_is_deterministic() {
         let w = workloads::by_name("mutex_workload").expect("exists");
         let mut short = w;
         short.run_cycles = 150_000;
-        run_workload(CoreKind::NaxRiscv, Preset::Split, &short).latencies
+        let spec = RunSpec::new(
+            CoreKind::NaxRiscv,
+            Preset::Split,
+            WorkloadSpec::Suite(short),
+        );
+        let outcome = execute_run(0, &spec, None, None).expect("cell runs");
+        outcome.sim.expect("suite cells simulate").latencies
     };
     assert_eq!(run(), run());
 }
@@ -49,15 +55,17 @@ fn switch_records_are_well_formed() {
 fn wcet_bound_dominates_simulation_for_cached_contexts() {
     // The §6.2 analysis is for CV32E40P; it must dominate the measured
     // maxima of every workload for the configurations it covers.
-    for preset in [Preset::Vanilla, Preset::Sl, Preset::St, Preset::Sdlot] {
-        let bound = analyze_preset(preset).total_cycles;
-        for w in workloads::ALL {
-            let mut short = w;
-            short.run_cycles = 150_000;
-            let r = run_workload(CoreKind::Cv32e40p, preset, &short);
-            let max = r.latencies.iter().max().copied().unwrap_or(0);
-            assert!(max <= bound, "{preset}/{}: {max} > bound {bound}", w.name);
-        }
+    let short = workloads::ALL.map(|mut w| {
+        w.run_cycles = 150_000;
+        w
+    });
+    let presets = [Preset::Vanilla, Preset::Sl, Preset::St, Preset::Sdlot];
+    let c = CampaignSpec::matrix("wcet_bound", &[CoreKind::Cv32e40p], &presets, &short).run(2);
+    assert_eq!(c.outcomes.len(), presets.len() * short.len());
+    for o in &c.outcomes {
+        let bound = analyze_preset(o.preset).total_cycles;
+        let max = o.stats().map_or(0, |s| s.max);
+        assert!(max <= bound, "{}: {max} > bound {bound}", o.label);
     }
 }
 

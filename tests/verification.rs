@@ -145,7 +145,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 #[test]
 fn single_core_campaign_artifact_is_byte_identical_to_pre_smp_baseline() {
-    // Pinned on the commit immediately before the CpuCore/SMP refactor:
+    // Pinned on the commit immediately before the SMP refactor:
     // the rendered campaign JSON for this fixed matrix hashed to the
     // value below. Single-core users must see bit-for-bit identical
     // measurements and artifacts after the refactor — a drift here means
