@@ -61,7 +61,7 @@ fi
 
 echo "== fault-injection smoke (fig_faults --quick; tier-1 campaign is tests/faults.rs)"
 # The ~200-injection tier-1 slice runs inside `cargo test` above
-# (crates/check/tests/faults.rs). This step smoke-tests the figure bin:
+# (root tests/faults.rs). This step smoke-tests the figure bin:
 # 72 classified runs across 3 cores x {vanilla, SLT, SDLOT}, every
 # outcome on the lattice, crashes quarantined as replay artifacts.
 cargo run -q --release -p rtosunit-bench --bin fig_faults -- --quick > /dev/null

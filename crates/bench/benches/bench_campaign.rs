@@ -2,7 +2,7 @@
 //! × suite workloads) executed four ways —
 //!
 //! 1. the seed's configuration: cycle-by-cycle stepping, one worker;
-//! 2. batched `run_until` stepping, one worker (batching speedup alone);
+//! 2. batched `run_batch` stepping, one worker (batching speedup alone);
 //! 3. batched stepping across all host cores (batching × parallelism);
 //! 4. batched stepping through the block translation cache, one worker
 //!    (`fig9_blockcache`: the translated fast path's speedup over plain

@@ -9,49 +9,18 @@
 //! *distribution* changes (new probability tables) though not op-format
 //! changes.
 
-use crate::lockstep::{EpisodeSpec, Fault, IrqEvent, Mismatch};
+use crate::lockstep::{EpisodeSpec, Fault, IrqEvent, Mismatch, IMEM_BASE, IMEM_SIZE};
 use crate::oracle::Violation;
 use crate::scenario::{Action, ScenarioSpec, TaskScript};
+use freertos_lite::klayout::NUM_PRIOS;
 use rtosbench::json::Json;
 use rtosunit::Preset;
 use rvsim_cores::CoreKind;
+use rvsim_isa::csr;
 use rvsim_isa::progen::{GenConfig, GenOp, ProgramSpec};
 
 /// Artifact format version (bump on incompatible `GenOp` changes).
 pub const VERSION: u64 = 1;
-
-const PRESET_NAMES: [(Preset, &str); 13] = [
-    (Preset::Vanilla, "vanilla"),
-    (Preset::Cv32rt, "cv32rt"),
-    (Preset::S, "s"),
-    (Preset::Sl, "sl"),
-    (Preset::T, "t"),
-    (Preset::St, "st"),
-    (Preset::Slt, "slt"),
-    (Preset::Sd, "sd"),
-    (Preset::Sdt, "sdt"),
-    (Preset::Sdlo, "sdlo"),
-    (Preset::Sdlot, "sdlot"),
-    (Preset::Split, "split"),
-    (Preset::SltHs, "slths"),
-];
-
-/// Stable lower-case artifact name of a preset.
-pub fn preset_name(p: Preset) -> &'static str {
-    PRESET_NAMES
-        .iter()
-        .find(|(q, _)| *q == p)
-        .map(|(_, n)| *n)
-        .expect("every preset is named")
-}
-
-/// Inverse of [`preset_name`].
-pub fn preset_from_name(name: &str) -> Option<Preset> {
-    PRESET_NAMES
-        .iter()
-        .find(|(_, n)| *n == name)
-        .map(|(p, _)| *p)
-}
 
 /// Serializes a failing lockstep episode (plus the mismatch it produced
 /// and the seed it came from) to JSON.
@@ -108,8 +77,19 @@ pub fn lockstep_to_json(ep: &EpisodeSpec, seed: u64, mismatch: &Mismatch) -> Jso
         )
 }
 
-fn get_u64(j: &Json, key: &str) -> Option<u64> {
-    j.get(key)?.as_u64()
+/// The interrupt lines an episode's plan may raise.
+const IRQ_LINES: u32 = csr::MIP_MSIP | csr::MIP_MTIP | csr::MIP_MEIP;
+
+/// Largest data window the generator's offsets can address.
+const MAX_DATA_LEN: u32 = 4096;
+
+/// A number that fits `T` without truncation.
+fn num<T: TryFrom<u64>>(j: &Json) -> Option<T> {
+    T::try_from(j.as_u64()?).ok()
+}
+
+fn get_num<T: TryFrom<u64>>(j: &Json, key: &str) -> Option<T> {
+    num(j.get(key)?)
 }
 
 fn get_bool(j: &Json, key: &str) -> Option<bool> {
@@ -128,9 +108,15 @@ fn num_i64(j: &Json) -> Option<i64> {
 }
 
 /// Deserializes a lockstep artifact back into a runnable episode.
-/// Returns `None` for malformed or incompatible documents.
+/// Returns `None` for malformed or incompatible documents, including
+/// numbers that do not fit their field, a program that does not fit the
+/// instruction memory from its base, a data window that is empty, larger
+/// than the generator addresses or wraps the address space, ops that
+/// break the generator's discipline ([`ProgramSpec::try_emit`]: e.g. a
+/// load or store outside the window) and interrupt masks beyond the
+/// three lines.
 pub fn lockstep_from_json(j: &Json) -> Option<EpisodeSpec> {
-    if j.get("kind")?.as_str()? != "lockstep" || get_u64(j, "version")? != VERSION {
+    if j.get("kind")?.as_str()? != "lockstep" || get_num::<u64>(j, "version")? != VERSION {
         return None;
     }
     let core = CoreKind::from_tag(j.get("core")?.as_str()?)?;
@@ -140,14 +126,22 @@ pub fn lockstep_from_json(j: &Json) -> Option<EpisodeSpec> {
     };
     let g = j.get("gen")?;
     let cfg = GenConfig {
-        base: get_u64(g, "base")? as u32,
-        data_base: get_u64(g, "data_base")? as u32,
-        data_len: get_u64(g, "data_len")? as u32,
-        len: get_u64(g, "len")? as usize,
+        base: get_num(g, "base")?,
+        data_base: get_num(g, "data_base")?,
+        data_len: get_num(g, "data_len")?,
+        len: get_num(g, "len")?,
         custom_ops: get_bool(g, "custom_ops")?,
         misaligned: get_bool(g, "misaligned")?,
         allow_wfi: get_bool(g, "allow_wfi")?,
     };
+    let base_ok =
+        cfg.base.is_multiple_of(4) && (IMEM_BASE..IMEM_BASE + IMEM_SIZE).contains(&cfg.base);
+    let window_ok = cfg.data_base.is_multiple_of(4)
+        && (1..=MAX_DATA_LEN).contains(&cfg.data_len)
+        && cfg.data_base.checked_add(cfg.data_len).is_some();
+    if !base_ok || !window_ok {
+        return None;
+    }
     let ops = j
         .get("ops")?
         .as_array()?
@@ -166,18 +160,26 @@ pub fn lockstep_from_json(j: &Json) -> Option<EpisodeSpec> {
             match pair {
                 [a, b] => Some(IrqEvent {
                     at_retire: a.as_u64()?,
-                    mask: b.as_u64()? as u32,
+                    mask: num(b).filter(|m| m & !IRQ_LINES == 0)?,
                 }),
                 _ => None,
             }
         })
         .collect::<Option<Vec<IrqEvent>>>()?;
+    // The replay emits the program into IMEM from `base` and runs it
+    // against a memory holding only the data window: reject a program
+    // that does not fit, or whose accesses could leave the window.
+    let spec = ProgramSpec::from_parts(cfg, ops);
+    let words = spec.try_emit()?.words.len() as u64;
+    if u64::from(cfg.base) + 4 * words > u64::from(IMEM_BASE + IMEM_SIZE) {
+        return None;
+    }
     Some(EpisodeSpec {
         core,
-        spec: ProgramSpec::from_parts(cfg, ops),
+        spec,
         irqs,
-        max_retires: get_u64(j, "max_retires")?,
-        max_cycles: get_u64(j, "max_cycles")?,
+        max_retires: get_num(j, "max_retires")?,
+        max_cycles: get_num(j, "max_cycles")?,
         fault,
         // Absent in artifacts written before the block-cache mode existed;
         // those replayed per-cycle and still do.
@@ -201,15 +203,16 @@ fn action_to_json(a: Action) -> Json {
 
 fn action_from_json(j: &Json) -> Option<Action> {
     let fields: Option<Vec<u64>> = j.as_array()?.iter().map(Json::as_u64).collect();
+    let index = |v: u64| usize::try_from(v).ok();
     match fields?[..] {
         [0, n] => Some(Action::Busy(u32::try_from(n).ok()?)),
         [1, n] => Some(Action::Delay(u32::try_from(n).ok()?)),
-        [2, s] => Some(Action::SemTake(s as usize)),
-        [3, s] => Some(Action::SemGive(s as usize)),
+        [2, s] => Some(Action::SemTake(index(s)?)),
+        [3, s] => Some(Action::SemGive(index(s)?)),
         [4] => Some(Action::Yield),
         [5, target, sem] => Some(Action::IpiGive {
-            target: target as usize,
-            sem: sem as usize,
+            target: index(target)?,
+            sem: index(sem)?,
         }),
         _ => None,
     }
@@ -234,7 +237,7 @@ pub fn oracle_to_json(spec: &ScenarioSpec, seed: u64, violation: &Violation) -> 
         .with("kind", Json::Str("oracle".into()))
         .with("version", Json::UInt(VERSION))
         .with("core", Json::Str(spec.core.tag().into()))
-        .with("preset", Json::Str(preset_name(spec.preset).into()))
+        .with("preset", Json::Str(spec.preset.tag().into()))
         .with("seed", Json::UInt(seed))
         .with("tick_period", Json::UInt(u64::from(spec.tick_period)))
         .with("max_cycles", Json::UInt(spec.max_cycles))
@@ -268,9 +271,12 @@ pub fn oracle_to_json(spec: &ScenarioSpec, seed: u64, violation: &Violation) -> 
 }
 
 /// Deserializes an oracle artifact back into a runnable scenario.
-/// Returns `None` for malformed or incompatible documents.
+/// Returns `None` for malformed or incompatible documents, including
+/// numbers that do not fit their field, no tasks, task priorities that
+/// are repeated or outside `1..NUM_PRIOS`, and semaphore references
+/// (script steps or `ext_sem`) with no `sems` entry.
 pub fn oracle_from_json(j: &Json) -> Option<ScenarioSpec> {
-    if j.get("kind")?.as_str()? != "oracle" || get_u64(j, "version")? != VERSION {
+    if j.get("kind")?.as_str()? != "oracle" || get_num::<u64>(j, "version")? != VERSION {
         return None;
     }
     let tasks = j
@@ -285,7 +291,7 @@ pub fn oracle_from_json(j: &Json) -> Option<ScenarioSpec> {
                 .map(action_from_json)
                 .collect::<Option<Vec<Action>>>()?;
             Some(TaskScript {
-                prio: u8::try_from(get_u64(t, "prio")?).ok()?,
+                prio: get_num(t, "prio")?,
                 script,
             })
         })
@@ -294,26 +300,44 @@ pub fn oracle_from_json(j: &Json) -> Option<ScenarioSpec> {
         .get("sems")?
         .as_array()?
         .iter()
-        .map(|c| Some(c.as_u64()? as u32))
+        .map(num)
         .collect::<Option<Vec<u32>>>()?;
+    let ext_sem = match j.get("ext_sem") {
+        Some(Json::Null) | None => None,
+        Some(v) => Some(num(v)?),
+    };
     let ext_irqs = j
         .get("ext_irqs")?
         .as_array()?
         .iter()
         .map(Json::as_u64)
         .collect::<Option<Vec<u64>>>()?;
+    let mut prios: Vec<u8> = tasks.iter().map(|t| t.prio).collect();
+    prios.sort_unstable();
+    prios.dedup();
+    let prios_ok = !tasks.is_empty()
+        && prios.len() == tasks.len()
+        && prios
+            .iter()
+            .all(|&p| (1..NUM_PRIOS).contains(&usize::from(p)));
+    let declared = |s: usize| s < sems.len();
+    let sems_ok = ext_sem.is_none_or(declared)
+        && tasks.iter().flat_map(|t| &t.script).all(|a| match *a {
+            Action::SemTake(s) | Action::SemGive(s) | Action::IpiGive { sem: s, .. } => declared(s),
+            Action::Busy(_) | Action::Delay(_) | Action::Yield => true,
+        });
+    if !prios_ok || !sems_ok {
+        return None;
+    }
     Some(ScenarioSpec {
         core: CoreKind::from_tag(j.get("core")?.as_str()?)?,
-        preset: preset_from_name(j.get("preset")?.as_str()?)?,
-        tick_period: get_u64(j, "tick_period")? as u32,
+        preset: Preset::from_tag(j.get("preset")?.as_str()?)?,
+        tick_period: get_num(j, "tick_period")?,
         tasks,
         sems,
-        ext_sem: match j.get("ext_sem") {
-            Some(Json::Null) | None => None,
-            Some(v) => Some(v.as_u64()? as usize),
-        },
+        ext_sem,
         ext_irqs,
-        max_cycles: get_u64(j, "max_cycles")?,
+        max_cycles: get_num(j, "max_cycles")?,
     })
 }
 
@@ -321,6 +345,7 @@ pub fn oracle_from_json(j: &Json) -> Option<ScenarioSpec> {
 mod tests {
     use super::*;
     use crate::lockstep::episode_for_seed;
+    use rvsim_isa::{CsrOp, Reg, StoreOp};
 
     #[test]
     fn lockstep_artifact_roundtrip() {
@@ -349,6 +374,23 @@ mod tests {
         assert_eq!(back, ep);
     }
 
+    /// `doc` with the value at `path` (object keys, or array indices in
+    /// decimal) replaced by `value`.
+    fn with_at(doc: &Json, path: &[&str], value: Json) -> Json {
+        let Some((head, rest)) = path.split_first() else {
+            return value;
+        };
+        let mut doc = doc.clone();
+        let child = match &mut doc {
+            Json::Object(pairs) => pairs.iter_mut().find(|(k, _)| k == head).map(|(_, v)| v),
+            Json::Array(items) => head.parse::<usize>().ok().and_then(|i| items.get_mut(i)),
+            _ => None,
+        }
+        .unwrap_or_else(|| panic!("no `{head}` in the artifact"));
+        *child = with_at(child, rest, value);
+        doc
+    }
+
     #[test]
     fn malformed_artifacts_are_rejected() {
         assert!(lockstep_from_json(&Json::Null).is_none());
@@ -357,6 +399,127 @@ mod tests {
         assert!(oracle_from_json(&Json::Null).is_none());
         let wrong_kind = Json::object().with("kind", Json::Str("lockstep".into()));
         assert!(oracle_from_json(&wrong_kind).is_none());
+
+        // Lockstep: values that used to truncate or panic on replay.
+        let cfg = GenConfig {
+            len: 40,
+            ..GenConfig::default()
+        };
+        let mut ep = episode_for_seed(CoreKind::Cva6, 7, cfg);
+        ep.irqs = vec![IrqEvent {
+            at_retire: 5,
+            mask: csr::MIP_MTIP,
+        }];
+        let mismatch = Mismatch {
+            field: "pc".into(),
+            engine: 0,
+            golden: 0,
+            retired: 0,
+            cycle: 0,
+        };
+        let doc = Json::parse(&lockstep_to_json(&ep, 7, &mismatch).render()).unwrap();
+        assert_eq!(lockstep_from_json(&doc), Some(ep));
+        let wide = 1u64 << 32;
+        for (path, value) in [
+            (&["gen", "base"][..], wide),
+            (&["gen", "base"], 2),
+            (&["gen", "base"], u64::from(IMEM_BASE + IMEM_SIZE)),
+            (&["gen", "data_base"], wide + 0x2000_0000),
+            (&["gen", "data_base"], 0x2000_0002),
+            (&["gen", "data_base"], 0xffff_f000),
+            (&["gen", "data_len"], wide + 4096),
+            (&["gen", "data_len"], 0),
+            (&["gen", "data_len"], u64::from(MAX_DATA_LEN) + 4),
+            // Loads and stores generated for a 4 KiB window.
+            (&["gen", "data_len"], 4),
+            // The program would run past the end of IMEM.
+            (&["gen", "base"], u64::from(IMEM_BASE + IMEM_SIZE - 4)),
+            (&["irqs", "0", "1"], wide | u64::from(csr::MIP_MTIP)),
+            (&["irqs", "0", "1"], 1 << 20),
+        ] {
+            let bad = with_at(&doc, path, Json::UInt(value));
+            assert!(
+                lockstep_from_json(&bad).is_none(),
+                "{path:?} = {value:#x} accepted"
+            );
+        }
+        // Ops that break the generator's discipline.
+        for op in [
+            GenOp::LoadImm {
+                rd: Reg::Tp,
+                value: 5,
+            },
+            GenOp::Store {
+                op: StoreOp::Sw,
+                rs2: Reg::A0,
+                gp_base: false,
+                off: -4,
+            },
+            GenOp::Csr {
+                op: CsrOp::Rw,
+                csr: csr::MTVEC,
+                rd: Reg::A0,
+                src: Reg::A0.number(),
+            },
+        ] {
+            let fields = op.encode_fields().into_iter().map(Json::Int).collect();
+            let bad = with_at(&doc, &["ops", "0"], Json::Array(fields));
+            assert!(lockstep_from_json(&bad).is_none(), "{op:?} accepted");
+        }
+
+        // Oracle: truncating numbers and dangling semaphore references.
+        let spec = crate::scenario::scenario_for_seed(CoreKind::Cva6, Preset::Slt, 3);
+        let v = Violation {
+            cycle: 1,
+            message: "x".into(),
+        };
+        let doc = Json::parse(&oracle_to_json(&spec, 3, &v).render()).unwrap();
+        assert_eq!(oracle_from_json(&doc), Some(spec.clone()));
+        let (t, k) = spec
+            .tasks
+            .iter()
+            .enumerate()
+            .find_map(|(t, task)| {
+                let k = task
+                    .script
+                    .iter()
+                    .position(|a| matches!(a, Action::SemTake(_) | Action::SemGive(_)))?;
+                Some((t.to_string(), k.to_string()))
+            })
+            .expect("the scenario uses a semaphore");
+        let n_sems = spec.sems.len() as u64;
+        let ipi = Json::Array(vec![Json::UInt(5), Json::UInt(0), Json::UInt(n_sems)]);
+        let mutations = [
+            (vec!["tick_period"], Json::UInt(wide + 400)),
+            (vec!["sems", "0"], Json::UInt(wide)),
+            (vec!["ext_sem"], Json::UInt(n_sems)),
+            (vec!["tasks", &t, "script", &k, "1"], Json::UInt(n_sems)),
+            (vec!["tasks", &t, "script", &k, "1"], Json::UInt(u64::MAX)),
+            (vec!["tasks", &t, "script", &k], ipi),
+            (vec!["tasks", &t, "prio"], Json::UInt(0)),
+            (vec!["tasks", &t, "prio"], Json::UInt(NUM_PRIOS as u64)),
+            (vec!["tasks"], Json::Array(Vec::new())),
+        ];
+        for (path, value) in mutations {
+            let bad = with_at(&doc, &path, value.clone());
+            assert!(
+                oracle_from_json(&bad).is_none(),
+                "{path:?} = {} accepted",
+                value.render()
+            );
+        }
+        if let [first, second, ..] = &spec.tasks[..] {
+            let dup = with_at(
+                &doc,
+                &["tasks", "1", "prio"],
+                Json::UInt(u64::from(first.prio)),
+            );
+            assert_ne!(first.prio, second.prio);
+            assert!(
+                oracle_from_json(&dup).is_none(),
+                "repeated priority accepted"
+            );
+        }
     }
 
     #[test]
@@ -374,13 +537,5 @@ mod tests {
         let parsed = Json::parse(&text).expect("rendered artifact parses");
         let back = oracle_from_json(&parsed).expect("artifact decodes");
         assert_eq!(back, spec);
-    }
-
-    #[test]
-    fn preset_names_roundtrip() {
-        for (p, _) in PRESET_NAMES {
-            assert_eq!(preset_from_name(preset_name(p)), Some(p));
-        }
-        assert_eq!(preset_from_name("bogus"), None);
     }
 }

@@ -18,11 +18,12 @@
 //! misaligned access itself, and the driver merely checks cause equality.
 //!
 //! With [`EpisodeSpec::blocks`] set the engine instead runs through
-//! batched [`run_until`](rvsim_cores::CoreEngine::run_until) calls with
+//! batched [`run_batch`](rvsim_cores::CoreEngine::run_batch) calls with
 //! the block translation cache enabled — same program, same golden model,
-//! but the translated fast path does the executing. State is diffed at
-//! every batch boundary and event, so a block that retires a wrong value,
-//! mis-orders a trap or survives an imem write diverges within one chunk.
+//! but the translated fast path does the executing, under the same
+//! driver loop. State is diffed at every batch boundary, so a block that
+//! retires a wrong value, mis-orders a trap or survives an imem write
+//! diverges within one chunk.
 //! Interrupt lines rise at batch granularity (`at_retire` is a lower
 //! bound there), which keeps episodes deterministic while letting blocks
 //! chain freely inside a batch.
@@ -37,7 +38,7 @@
 
 use crate::coproc::{ScratchCoproc, ScratchUnit};
 use rvsim_cores::engine::{BusResponse, DataBus};
-use rvsim_cores::{make_engine, stop_events, CoreEvent, CoreKind, GoldenCore, GoldenStep};
+use rvsim_cores::{make_engine, CoreEvent, CoreKind, GoldenCore, GoldenStep};
 use rvsim_isa::progen::{generate, GenConfig, ProgramSpec};
 use rvsim_isa::{csr, Reg, Rng64};
 use rvsim_mem::{AccessSize, Mem};
@@ -101,7 +102,7 @@ pub struct EpisodeSpec {
     pub max_cycles: u64,
     /// Injected bug, if any (self-test only).
     pub fault: Option<Fault>,
-    /// Drive the engine through batched `run_until` calls with the block
+    /// Drive the engine through batched `run_batch` calls with the block
     /// translation cache enabled, instead of per-cycle stepping.
     pub blocks: bool,
     /// Round-trip the engine through the snapshot codec at pseudo-random
@@ -345,141 +346,19 @@ fn build_rig(ep: &EpisodeSpec) -> Rig {
 }
 
 /// Runs one lockstep episode to completion, returning stats on agreement
-/// or the first divergence. Per-cycle by default; with
-/// [`EpisodeSpec::blocks`] set the engine runs through the batched block
-/// translation cache path instead.
+/// or the first divergence.
+///
+/// Per-cycle by default: the engine takes one [`step`] per iteration.
+/// With [`EpisodeSpec::blocks`] set the block translation cache is on and
+/// the engine advances in `CHUNK`-cycle [`run_batch`] calls instead. Either
+/// way the golden core catches up by the retire delta and the full state
+/// is diffed at every retire, event or batch boundary; events surface on the
+/// final cycle of a step or batch, so interrupt and exception causes are
+/// checked identically in both modes.
+///
+/// [`step`]: rvsim_cores::CoreEngine::step
+/// [`run_batch`]: rvsim_cores::CoreEngine::run_batch
 pub fn run_episode(ep: &EpisodeSpec) -> Result<EpisodeStats, Mismatch> {
-    if ep.blocks {
-        run_episode_batched(ep)
-    } else {
-        run_episode_cycle(ep)
-    }
-}
-
-/// The per-cycle reference driver: golden catch-up and full state diff at
-/// every retire boundary.
-fn run_episode_cycle(ep: &EpisodeSpec) -> Result<EpisodeStats, Mismatch> {
-    let Rig {
-        mut engine,
-        mut bus,
-        mut coproc,
-        mut golden,
-        mut golden_unit,
-        data_base,
-        data_len,
-    } = build_rig(ep);
-
-    let mut stats = EpisodeStats::default();
-    let mut snap_plan = SnapPlan::new(ep);
-    let mut mip: u32 = 0;
-    let mut next_irq = 0usize;
-
-    loop {
-        if engine.retired() >= ep.max_retires || engine.cycle() >= ep.max_cycles {
-            break;
-        }
-        // Raise planned lines that are due at this retire count.
-        while let Some(ev) = ep.irqs.get(next_irq) {
-            if engine.retired() >= ev.at_retire {
-                mip |= ev.mask;
-                next_irq += 1;
-            } else {
-                break;
-            }
-        }
-        // A parked core with nothing pending never wakes: jump the plan
-        // forward, or end the episode once it is exhausted.
-        if engine.waiting_for_interrupt() && mip & engine.state.csrs.mie == 0 {
-            match ep.irqs.get(next_irq) {
-                Some(ev) => {
-                    mip |= ev.mask;
-                    next_irq += 1;
-                    continue;
-                }
-                None => break,
-            }
-        }
-
-        engine.state.csrs.mip = mip;
-        let before = engine.retired();
-        let out = engine.step(&mut bus, &mut coproc);
-        let retires = engine.retired() - before;
-
-        // Mirror the engine's view of the lines onto the golden core for
-        // exactly the instructions that retired this cycle.
-        golden.mip = mip;
-        for _ in 0..retires {
-            step_golden(&mut golden, &mut golden_unit, ep.fault, &mut stats)?;
-        }
-
-        match out.event {
-            Some(CoreEvent::InterruptEntered { cause }) => {
-                stats.interrupts += 1;
-                match golden.take_interrupt() {
-                    Some(gc) if gc == cause => {}
-                    other => {
-                        return Err(Mismatch {
-                            field: "interrupt cause".into(),
-                            engine: cause,
-                            golden: other.unwrap_or(0),
-                            retired: engine.retired(),
-                            cycle: engine.cycle(),
-                        });
-                    }
-                }
-                mip = 0;
-                golden.mip = 0;
-            }
-            Some(CoreEvent::ExceptionEntered { cause }) => {
-                stats.exceptions += 1;
-                match step_golden(&mut golden, &mut golden_unit, ep.fault, &mut stats)? {
-                    GoldenStep::Trap(gc) if gc == cause => {}
-                    other => {
-                        return Err(Mismatch {
-                            field: format!("exception cause ({other:?} on golden side)"),
-                            engine: cause,
-                            golden: golden.mcause,
-                            retired: engine.retired(),
-                            cycle: engine.cycle(),
-                        });
-                    }
-                }
-            }
-            _ => {}
-        }
-
-        if retires > 0 || out.event.is_some() {
-            diff_state(&engine, &golden)?;
-        }
-        snap_plan.maybe_roundtrip(&mut engine, &mut bus, ep.core, &mut stats)?;
-        if engine.halted() {
-            stats.halted = true;
-            break;
-        }
-    }
-
-    stats.retired = engine.retired();
-    stats.cycles = engine.cycle();
-    if golden.retired() != engine.retired() {
-        return Err(Mismatch {
-            field: "retire count".into(),
-            engine: engine.retired() as u32,
-            golden: golden.retired() as u32,
-            retired: engine.retired(),
-            cycle: engine.cycle(),
-        });
-    }
-    diff_memory(&engine, &bus, &golden, data_base, data_len)?;
-    Ok(stats)
-}
-
-/// The batched driver: the block translation cache is enabled and the
-/// engine runs in `CHUNK`-cycle `run_until` batches; the golden core
-/// catches up by the batch's retire delta and the full state is diffed at
-/// every batch boundary. Events surface on the batch's final cycle, so
-/// interrupt and exception causes are checked exactly as in the per-cycle
-/// driver.
-fn run_episode_batched(ep: &EpisodeSpec) -> Result<EpisodeStats, Mismatch> {
     // Big enough for blocks to chain several times per batch, small
     // enough that a planned interrupt line is never starved for long.
     const CHUNK: u64 = 64;
@@ -493,7 +372,7 @@ fn run_episode_batched(ep: &EpisodeSpec) -> Result<EpisodeStats, Mismatch> {
         data_base,
         data_len,
     } = build_rig(ep);
-    engine.set_block_cache(true);
+    engine.set_block_cache(ep.blocks);
 
     let mut stats = EpisodeStats::default();
     let mut snap_plan = SnapPlan::new(ep);
@@ -505,8 +384,8 @@ fn run_episode_batched(ep: &EpisodeSpec) -> Result<EpisodeStats, Mismatch> {
             break;
         }
         // Raise planned lines that are due at this retire count. Inside a
-        // batch the count runs ahead unobserved, so a line rises at the
-        // first batch boundary at or after its `at_retire`.
+        // batch the count runs ahead unobserved, so there a line rises at
+        // the first batch boundary at or after its `at_retire`.
         while let Some(ev) = ep.irqs.get(next_irq) {
             if engine.retired() >= ev.at_retire {
                 mip |= ev.mask;
@@ -528,20 +407,26 @@ fn run_episode_batched(ep: &EpisodeSpec) -> Result<EpisodeStats, Mismatch> {
             }
         }
 
-        // `mip` is constant for the whole batch — exactly the `run_until`
-        // batching contract.
+        // `mip` is constant for the whole step or batch — exactly the
+        // `run_batch` contract.
         engine.state.csrs.mip = mip;
         let before = engine.retired();
-        let budget = CHUNK.min(ep.max_cycles - engine.cycle());
-        let exit = engine.run_until(&mut bus, &mut coproc, stop_events::ALL, budget);
+        let event = if ep.blocks {
+            let budget = CHUNK.min(ep.max_cycles - engine.cycle());
+            engine.run_batch(&mut bus, &mut coproc, budget).event
+        } else {
+            engine.step(&mut bus, &mut coproc).event
+        };
         let retires = engine.retired() - before;
 
+        // Mirror the engine's view of the lines onto the golden core for
+        // exactly the instructions that retired.
         golden.mip = mip;
         for _ in 0..retires {
-            step_golden(&mut golden, &mut golden_unit, ep.fault, &mut stats)?;
+            step_golden(&mut golden, &mut golden_unit, ep.fault);
         }
 
-        match exit.event {
+        match event {
             Some(CoreEvent::InterruptEntered { cause }) => {
                 stats.interrupts += 1;
                 match golden.take_interrupt() {
@@ -561,7 +446,7 @@ fn run_episode_batched(ep: &EpisodeSpec) -> Result<EpisodeStats, Mismatch> {
             }
             Some(CoreEvent::ExceptionEntered { cause }) => {
                 stats.exceptions += 1;
-                match step_golden(&mut golden, &mut golden_unit, ep.fault, &mut stats)? {
+                match step_golden(&mut golden, &mut golden_unit, ep.fault) {
                     GoldenStep::Trap(gc) if gc == cause => {}
                     other => {
                         return Err(Mismatch {
@@ -577,7 +462,12 @@ fn run_episode_batched(ep: &EpisodeSpec) -> Result<EpisodeStats, Mismatch> {
             _ => {}
         }
 
-        diff_state(&engine, &golden)?;
+        // Per cycle, only a retire or an event can move the compared state;
+        // a batch is diffed at every boundary, so a batch that changed a
+        // register without retiring is caught before anything can hide it.
+        if ep.blocks || retires > 0 || event.is_some() {
+            diff_state(&engine, &golden)?;
+        }
         snap_plan.maybe_roundtrip(&mut engine, &mut bus, ep.core, &mut stats)?;
         if engine.halted() {
             stats.halted = true;
@@ -601,14 +491,12 @@ fn run_episode_batched(ep: &EpisodeSpec) -> Result<EpisodeStats, Mismatch> {
     Ok(stats)
 }
 
-/// Steps the golden core once, applying the injected fault and asserting
-/// that a step demanded for a retire really retires.
+/// Steps the golden core once, applying the injected fault.
 fn step_golden(
     golden: &mut GoldenCore,
     unit: &mut ScratchUnit,
     fault: Option<Fault>,
-    stats: &mut EpisodeStats,
-) -> Result<GoldenStep, Mismatch> {
+) -> GoldenStep {
     let fault_target = match fault {
         Some(Fault::GoldenSltuFlip) => sltu_rd_at(golden),
         None => None,
@@ -621,8 +509,7 @@ fn step_golden(
             golden.write_reg(rd, v ^ 1);
         }
     }
-    let _ = stats;
-    Ok(step)
+    step
 }
 
 /// If the golden core's next instruction is `sltu`/`sltiu` with a real

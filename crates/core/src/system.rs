@@ -9,8 +9,8 @@ use crate::platform::Platform;
 use crate::stats::{LatencyStats, SwitchRecord};
 use crate::unit::{RtosUnit, UnitStats};
 use rvsim_cores::{
-    make_engine, stop_events, Coprocessor, CoreEngine, CoreEvent, CoreKind, DataBus, FaultKind,
-    FaultPlan, NullCoprocessor,
+    make_engine, Coprocessor, CoreEngine, CoreEvent, CoreKind, DataBus, FaultKind, FaultPlan,
+    NullCoprocessor,
 };
 use rvsim_isa::{csr, Program};
 use rvsim_snapshot::{
@@ -404,32 +404,27 @@ impl System {
         }
     }
 
-    /// How many upcoming cycles can run batched, and in which mode.
+    /// How many upcoming cycles can run batched; 0 when something needs
+    /// the full per-cycle path this cycle.
     ///
-    /// `(n, false)` with `n > 0`: the stretch is fully *quiescent* — the
-    /// attached unit has no background work, the interrupt lines already
-    /// match what the core sees, and no timer fire, scheduled external
-    /// IRQ or planned fault lands inside the window. Over such a stretch
-    /// the per-cycle `System` bookkeeping is provably a no-op, so the
-    /// engine may run batched. Guest actions that could break the
-    /// assumption mid-batch (MMIO writes to the interrupt devices, custom
-    /// unit instructions) stop the batch via the bus attention latch and
-    /// the engine's custom-instruction stop.
-    ///
-    /// `(n, true)`: the lines are quiescent but the unit has background
-    /// work (context store/restore, preload, a scheduler sort) — the
-    /// engine may still run batched provided it steps the coprocessor
-    /// every cycle ([`CoreEngine::run_costep`](rvsim_cores::CoreEngine)).
-    ///
-    /// `(0, _)`: something needs the full per-cycle path this cycle.
-    fn batch_budget(&mut self, now: u64, end: u64) -> (u64, bool) {
+    /// A batch needs the interrupt lines to already match what the core
+    /// sees, and no timer fire, scheduled external IRQ or planned fault
+    /// inside the window. Over such a stretch the per-cycle `System`
+    /// bookkeeping is provably a no-op, so the engine may run batched.
+    /// Guest actions that could break the assumption mid-batch (MMIO
+    /// writes to the interrupt devices, custom unit instructions) stop the
+    /// batch via the bus attention latch and the engine's
+    /// custom-instruction stop. A unit with background work (context
+    /// store/restore, preload, a scheduler sort) does not prevent a batch:
+    /// [`CoreEngine::run_batch`] then steps it every cycle.
+    fn batch_budget(&mut self, now: u64, end: u64) -> u64 {
         // A queued IPI needs the per-cycle path to assert MSIP.
         if self.platform.ipi_pending() {
-            return (0, false);
+            return 0;
         }
         let mask = self.platform.mmio.pending_mask();
         if mask != self.prev_mask || self.core.state.csrs.mip != mask {
-            return (0, false);
+            return 0;
         }
         let mut horizon = end;
         if let Some(delta) = self.platform.mmio.cycles_until_timer_fire() {
@@ -445,16 +440,13 @@ impl System {
         if let Some(next) = self.fault_plan.as_ref().and_then(|p| p.next_cycle()) {
             horizon = horizon.min(next.saturating_sub(1));
         }
-        (
-            horizon.saturating_sub(now),
-            !self.unit.as_coproc().is_idle(),
-        )
+        horizon.saturating_sub(now)
     }
 
     /// Runs until the guest halts or `max_cycles` elapse.
     ///
     /// Quiescent stretches execute through the engine's batched
-    /// [`run_until`](CoreEngine::run_until) — cycle-exact with
+    /// [`run_batch`](CoreEngine::run_batch) — cycle-exact with
     /// [`run_stepwise`](Self::run_stepwise) (the differential tests assert
     /// identical records and counters) but without one dynamic dispatch
     /// per cycle.
@@ -469,29 +461,18 @@ impl System {
                 return RunExit::CyclesExhausted;
             }
 
-            let (budget, costep) = self.batch_budget(now, end);
+            let budget = self.batch_budget(now, end);
             if budget == 0 {
                 self.step();
                 continue;
             }
 
-            let exit = if costep {
-                // Unit-active batch: the engine co-steps the coprocessor
-                // every consumed cycle, including the exit cycle.
-                self.core.run_costep(
-                    &mut self.platform,
-                    self.unit.as_coproc(),
-                    stop_events::ALL,
-                    budget,
-                )
-            } else {
-                self.core.run_until(
-                    &mut self.platform,
-                    self.unit.as_coproc(),
-                    stop_events::ALL,
-                    budget,
-                )
-            };
+            // A unit-active batch co-steps the coprocessor every consumed
+            // cycle, including the exit cycle.
+            let costep = !self.unit.as_coproc().is_idle();
+            let exit = self
+                .core
+                .run_batch(&mut self.platform, self.unit.as_coproc(), budget);
             if let Some(event) = exit.event {
                 self.track_episode(event, self.platform.cycle());
             }

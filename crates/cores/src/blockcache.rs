@@ -475,7 +475,7 @@ fn build_block(params: &TimingParams, imem: &Mem, start: u32) -> Option<Block> {
     })
 }
 
-/// What block-mode execution accomplished, consumed by `run_until`.
+/// What block-mode execution accomplished, consumed by `run_batch`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum BlockOutcome {
     /// No block at the current PC (or no budget for its first step):
@@ -528,37 +528,15 @@ fn extend(data: u32, size: AccessSize, signed: bool) -> u32 {
 
 impl CoreEngine {
     /// Runs translated blocks from the current PC for up to `remaining`
-    /// cycles. Caller guarantees the quiescent-batch contract plus:
-    /// `busy == 0`, not parked in `wfi`, not halted, and no enabled
-    /// pending interrupt.
-    pub(crate) fn try_blocks(&mut self, bus: &mut dyn DataBus, remaining: u64) -> BlockOutcome {
-        let mut cache = self.blocks.take().expect("block cache attached");
-        let out = self.run_blocks::<false>(&mut cache, bus, &mut None, remaining);
-        self.blocks = Some(cache);
-        out
-    }
-
-    /// [`try_blocks`](Self::try_blocks) for a unit-active batch: the
-    /// coprocessor is stepped after every consumed cycle, in exactly the
-    /// per-cycle platform order (core work first, then the coprocessor's
-    /// port cycle).
-    pub(crate) fn try_blocks_costep(
-        &mut self,
-        bus: &mut dyn DataBus,
-        coproc: &mut dyn Coprocessor,
-        remaining: u64,
-    ) -> BlockOutcome {
-        let mut cache = self.blocks.take().expect("block cache attached");
-        let out = self.run_blocks::<true>(&mut cache, bus, &mut Some(coproc), remaining);
-        self.blocks = Some(cache);
-        out
-    }
-
-    fn run_blocks<const COSTEP: bool>(
+    /// cycles, co-stepping `co` after every consumed cycle when `COSTEP`
+    /// is set (a unit-active batch). Caller guarantees the batch contract
+    /// of [`CoreEngine::run_batch`] plus: `busy == 0`, not parked in
+    /// `wfi`, not halted, and no enabled pending interrupt.
+    pub(crate) fn run_blocks<const COSTEP: bool>(
         &mut self,
         cache: &mut BlockCache,
         bus: &mut dyn DataBus,
-        co: &mut Option<&mut dyn Coprocessor>,
+        co: &mut dyn Coprocessor,
         remaining: u64,
     ) -> BlockOutcome {
         let entry_cycle = self.cycle;
@@ -611,7 +589,7 @@ impl CoreEngine {
                 // coprocessor drains idle: the plain quiescent batch path
                 // is faster from here.
                 StepExit::Done => {
-                    if COSTEP && co.as_ref().is_some_and(|c| c.is_idle()) {
+                    if COSTEP && co.is_idle() {
                         break;
                     }
                     continue;
@@ -648,7 +626,7 @@ impl CoreEngine {
     /// per step. Returns how the dispatch ended, the number of fused
     /// macro-ops executed, and whether any step executed at all.
     ///
-    /// With `co` attached (a unit-active batch) every consumed cycle is
+    /// With `COSTEP` set (a unit-active batch) every consumed cycle is
     /// replayed individually — bus clock first, the core's work for that
     /// cycle, then the coprocessor's step — so the shared-port
     /// arbitration the coprocessor sees is bit-identical to per-cycle
@@ -658,7 +636,7 @@ impl CoreEngine {
         &mut self,
         block: &Block,
         bus: &mut dyn DataBus,
-        co: &mut Option<&mut dyn Coprocessor>,
+        co: &mut dyn Coprocessor,
         remaining: u64,
         entry_cycle: u64,
         lag: &mut u64,
@@ -686,11 +664,10 @@ impl CoreEngine {
             // dispatch replays them one at a time: the drain cycles give
             // the coprocessor the port cycles the core left idle.
             if COSTEP {
-                let c = co.as_mut().expect("co-stepped dispatch has a coprocessor");
                 for _ in 0..*pending {
                     bus.advance_cycles(1);
                     self.cycle += 1;
-                    c.step(&mut self.state, bus);
+                    co.step(&mut self.state, bus);
                 }
                 bus.advance_cycles(1);
                 self.cycle += 1;
@@ -1028,9 +1005,7 @@ impl CoreEngine {
             // exactly where the per-cycle platform loop puts it (even
             // when the step trapped or raised attention).
             if COSTEP {
-                co.as_mut()
-                    .expect("co-stepped dispatch has a coprocessor")
-                    .step(&mut self.state, bus);
+                co.step(&mut self.state, bus);
             }
             if let Some(e) = exit {
                 return (e, fused_execs, any);
@@ -1047,13 +1022,11 @@ impl CoreEngine {
     fn fused_mid_cycle<const COSTEP: bool>(
         &mut self,
         bus: &mut dyn DataBus,
-        co: &mut Option<&mut dyn Coprocessor>,
+        co: &mut dyn Coprocessor,
         lag: &mut u64,
     ) {
         if COSTEP {
-            co.as_mut()
-                .expect("co-stepped dispatch has a coprocessor")
-                .step(&mut self.state, bus);
+            co.step(&mut self.state, bus);
             bus.advance_cycles(1);
             self.cycle += 1;
         } else {

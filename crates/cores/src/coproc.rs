@@ -40,9 +40,10 @@ pub trait Coprocessor {
     /// Whether the unit has no background work in flight — no store or
     /// restore FSM activity, no pending scheduler sort, no preload to run —
     /// so that skipping its per-cycle [`step`](Self::step) calls is
-    /// observationally equivalent to making them. Batched execution
-    /// ([`CoreEngine::run_until`](crate::engine::CoreEngine::run_until)) is
-    /// only entered while this holds. Default: `false` (always poll).
+    /// observationally equivalent to making them. A quiescent batch
+    /// ([`CoreEngine::run_batch`](crate::engine::CoreEngine::run_batch)
+    /// entered while this holds) never steps the unit, and a co-stepped
+    /// batch ends once it does. Default: `false` (always poll).
     fn is_idle(&self) -> bool {
         false
     }

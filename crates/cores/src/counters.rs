@@ -2,7 +2,7 @@
 //!
 //! The engine attributes every non-issue cycle to a cause **at issue
 //! time** (the drain length of an instruction is fully decided when it
-//! issues), so the batched [`run_until`](crate::CoreEngine::run_until)
+//! issues), so the batched [`run_batch`](crate::CoreEngine::run_batch)
 //! fast path — which burns stall stretches in bulk — produces counter
 //! values identical to per-cycle stepping. The batching differential
 //! tests assert this.

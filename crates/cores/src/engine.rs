@@ -67,7 +67,7 @@ pub trait DataBus {
 
     /// Advances the bus-side clock by `cycles` at once — the bulk
     /// equivalent of that many per-cycle housekeeping steps with no port
-    /// activity in between. [`CoreEngine::run_until`] calls this before
+    /// activity in between. [`CoreEngine::run_batch`] calls this before
     /// simulating each stretch of cycles so timers, busy counters and
     /// occupancy statistics stay cycle-exact without a call per cycle.
     /// Default: no-op (timer-less test buses).
@@ -78,7 +78,7 @@ pub trait DataBus {
     /// Returns and clears the bus attention flag: set when a bus-side
     /// write may have changed interrupt or halt state (e.g. an MMIO store
     /// to a timer comparator), invalidating any precomputed quiescence
-    /// horizon. [`CoreEngine::run_until`] polls it after every issue cycle
+    /// horizon. [`CoreEngine::run_batch`] polls it after every issue cycle
     /// and stops the batch when raised. Default: never raised.
     fn take_attention(&mut self) -> bool {
         false
@@ -118,51 +118,13 @@ pub struct StepOutput {
     pub custom: bool,
 }
 
-/// Bit mask of [`CoreEvent`]s that stop [`CoreEngine::run_until`].
-pub mod stop_events {
-    /// Stop when an interrupt is taken.
-    pub const INTERRUPT_ENTERED: u32 = 1 << 0;
-    /// Stop when `mret` retires.
-    pub const MRET_RETIRED: u32 = 1 << 1;
-    /// Stop when the guest halts.
-    pub const HALTED: u32 = 1 << 2;
-    /// Stop when a synchronous exception traps.
-    pub const EXCEPTION_ENTERED: u32 = 1 << 3;
-    /// Stop on every event.
-    pub const ALL: u32 = INTERRUPT_ENTERED | MRET_RETIRED | HALTED | EXCEPTION_ENTERED;
-}
-
-pub(crate) fn event_bit(ev: CoreEvent) -> u32 {
-    match ev {
-        CoreEvent::InterruptEntered { .. } => stop_events::INTERRUPT_ENTERED,
-        CoreEvent::ExceptionEntered { .. } => stop_events::EXCEPTION_ENTERED,
-        CoreEvent::MretRetired => stop_events::MRET_RETIRED,
-        CoreEvent::Halted => stop_events::HALTED,
-    }
-}
-
-/// Why [`CoreEngine::run_until`] returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StopReason {
-    /// An event matching the stop mask fired on the final cycle.
-    Event,
-    /// A coprocessor custom instruction executed on the final cycle.
-    CustomExecuted,
-    /// The bus raised its attention flag on the final cycle.
-    Attention,
-    /// The cycle budget ran out (or the core was already halted).
-    Budget,
-}
-
-/// Result of one [`CoreEngine::run_until`] batch.
+/// Result of one [`CoreEngine::run_batch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchExit {
     /// Cycles consumed by the batch.
     pub cycles: u64,
-    /// Event raised on the final cycle, if any.
+    /// Event raised on the final cycle, if any (every event ends a batch).
     pub event: Option<CoreEvent>,
-    /// Why the batch ended.
-    pub reason: StopReason,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -399,13 +361,13 @@ impl CoreEngine {
 
     /// Snapshot of the activity counters. Stall cycles are attributed at
     /// issue time, so the snapshot is identical whether the engine ran
-    /// per-cycle or through batched [`run_until`](Self::run_until).
+    /// per-cycle or through batched [`run_batch`](Self::run_batch).
     pub fn counters(&self) -> CoreCounters {
         self.counters
     }
 
     /// Attaches (or detaches) the basic-block translation cache. With the
-    /// cache on, batched [`run_until`](Self::run_until) executes
+    /// cache on, batched [`run_batch`](Self::run_batch) executes
     /// pre-decoded micro-op blocks per dispatch instead of stepping the
     /// interpreter per cycle — architecturally and timing-wise
     /// bit-identical (see [`crate::blockcache`]), just faster on the
@@ -812,220 +774,141 @@ impl CoreEngine {
         self.cycle - start
     }
 
-    /// Runs a quiescent batch of up to `max_cycles` cycles without a
-    /// per-cycle call from the platform.
+    /// Runs a batch of up to `max_cycles` cycles without a per-cycle call
+    /// from the platform.
     ///
     /// The caller guarantees that, for the whole budget, nothing *outside*
-    /// the core can change `state.csrs.mip` or wants per-cycle polling:
-    /// no timer/software/external interrupt edge lands inside the window
-    /// and the coprocessor is idle (guest-initiated changes are caught via
-    /// [`DataBus::take_attention`] and the `custom` stop). Under that
-    /// contract this is cycle-exact with calling [`step`](Self::step) in a
-    /// loop, but burns through multi-cycle stalls and `wfi` stretches in
-    /// bulk, advancing the bus clock via [`DataBus::advance_cycles`].
+    /// the core can change `state.csrs.mip`: no timer/software/external
+    /// interrupt edge lands inside the window (guest-initiated changes are
+    /// caught via [`DataBus::take_attention`]). Under that contract this
+    /// is cycle-exact with calling [`step`](Self::step) in a loop, taking
+    /// translated blocks when the cache is attached. Every batch stops at
+    /// the first of: any [`CoreEvent`], the bus raising attention, or the
+    /// budget running out.
     ///
-    /// Stops at the first of: an event matching `event_mask`, a custom
-    /// (coprocessor) instruction executing, the bus raising attention, or
-    /// the budget running out.
-    pub fn run_until(
+    /// Whether `coproc` is idle at entry picks the mode:
+    ///
+    /// * idle — a *quiescent* batch: the coprocessor is not stepped.
+    ///   Multi-cycle stalls and `wfi` stretches burn in bulk, advancing
+    ///   the bus clock via [`DataBus::advance_cycles`], and a custom
+    ///   (coprocessor) instruction also ends the batch so the caller can
+    ///   step the now-active coprocessor on that cycle.
+    /// * busy — a *unit-active* batch: the coprocessor has background
+    ///   work (context store/restore FSMs, speculative preload, a
+    ///   scheduler sort), so it is stepped every cycle in exactly the
+    ///   stepwise order (bus clock, core, coprocessor), including inside
+    ///   block dispatch and on the final cycle — the caller must not step
+    ///   it again. The batch also ends as soon as the coprocessor drains
+    ///   idle, so the caller can re-enter the faster quiescent mode.
+    pub fn run_batch(
         &mut self,
         bus: &mut dyn DataBus,
         coproc: &mut dyn Coprocessor,
-        event_mask: u32,
         max_cycles: u64,
     ) -> BatchExit {
-        let start = self.cycle;
-        loop {
-            let used = self.cycle - start;
-            if self.halted || used >= max_cycles {
-                return BatchExit {
-                    cycles: used,
-                    event: None,
-                    reason: StopReason::Budget,
-                };
-            }
-            let remaining = max_cycles - used;
-
-            // Bulk-drain a multi-cycle instruction. The cycle where `busy`
-            // reaches zero may complete an `mret`, exactly as in `step`.
-            if self.busy > 0 {
-                let skip = u64::from(self.busy).min(remaining);
-                bus.advance_cycles(skip);
-                self.cycle += skip;
-                self.busy -= skip as u32;
-                self.state.csrs.mcycle = self.cycle as u32;
-                if self.busy == 0 && self.completing == Completing::Mret {
-                    self.completing = Completing::Plain;
-                    coproc.on_mret(&mut self.state);
-                    if event_mask & stop_events::MRET_RETIRED != 0 {
-                        return BatchExit {
-                            cycles: self.cycle - start,
-                            event: Some(CoreEvent::MretRetired),
-                            reason: StopReason::Event,
-                        };
-                    }
-                }
-                continue;
-            }
-
-            // `wfi` park: `mip` is constant for the whole batch, so with no
-            // pending-and-enabled interrupt the core sleeps out the budget.
-            if self.wfi_wait && self.state.csrs.mip & self.state.csrs.mie == 0 {
-                bus.advance_cycles(remaining);
-                self.cycle += remaining;
-                self.counters.wfi_cycles += remaining;
-                let pc = self.wfi_pc;
-                self.attribute(pc, remaining);
-                self.state.csrs.mcycle = self.cycle as u32;
-                return BatchExit {
-                    cycles: max_cycles,
-                    event: None,
-                    reason: StopReason::Budget,
-                };
-            }
-
-            // Translated-block fast path: with the cache attached and the
-            // core able to issue straight-line code (no drain, no park, no
-            // takeable interrupt — `mip` is constant for the whole batch),
-            // execute whole pre-decoded blocks per dispatch.
-            if self.blocks.is_some()
-                && !self.wfi_wait
-                && !(self.state.csrs.mie_enabled() && self.state.csrs.pending_interrupt().is_some())
-            {
-                match self.try_blocks(bus, remaining) {
-                    BlockOutcome::Ran { event, attention } => {
-                        if let Some(ev) = event {
-                            if event_bit(ev) & event_mask != 0 {
-                                return BatchExit {
-                                    cycles: self.cycle - start,
-                                    event: Some(ev),
-                                    reason: StopReason::Event,
-                                };
-                            }
-                        }
-                        if attention {
-                            return BatchExit {
-                                cycles: self.cycle - start,
-                                event,
-                                reason: StopReason::Attention,
-                            };
-                        }
-                        continue;
-                    }
-                    BlockOutcome::NotEngaged => {}
-                }
-            }
-
-            // One active cycle, identical to the per-cycle path.
-            bus.advance_cycles(1);
-            let out = self.step(bus, coproc);
-            let attention = bus.take_attention();
-            if let Some(ev) = out.event {
-                if event_bit(ev) & event_mask != 0 {
-                    return BatchExit {
-                        cycles: self.cycle - start,
-                        event: Some(ev),
-                        reason: StopReason::Event,
-                    };
-                }
-            }
-            if out.custom {
-                return BatchExit {
-                    cycles: self.cycle - start,
-                    event: out.event,
-                    reason: StopReason::CustomExecuted,
-                };
-            }
-            if attention {
-                return BatchExit {
-                    cycles: self.cycle - start,
-                    event: out.event,
-                    reason: StopReason::Attention,
-                };
-            }
+        if coproc.is_idle() {
+            self.batch::<false>(bus, coproc, max_cycles)
+        } else {
+            self.batch::<true>(bus, coproc, max_cycles)
         }
     }
 
-    /// Runs a *unit-active* batch: the coprocessor has background work
-    /// (context store/restore FSMs, speculative preload, a scheduler
-    /// sort), so it must be stepped every cycle — but the interrupt lines
-    /// are quiescent, so the platform's per-cycle mask bookkeeping is
-    /// still provably a no-op. Executes in exactly the stepwise order
-    /// (bus clock advances, core steps, coprocessor steps), dispatching
-    /// translated blocks with the coprocessor co-stepped between
-    /// micro-ops, and returns as soon as the coprocessor drains idle so
-    /// the caller can re-enter the plain quiescent batch path.
-    ///
-    /// Same quiescence contract and stop conditions as
-    /// [`run_until`](Self::run_until), with one extra rule: every
-    /// consumed cycle *including the final one* has already taken its
-    /// coprocessor step — the caller must not step it again.
-    pub fn run_costep(
+    /// Whether the core can issue straight-line code this cycle: no drain
+    /// in flight, not parked, no takeable interrupt (`mip` is constant for
+    /// the whole batch).
+    #[inline]
+    fn issue_ready(&self) -> bool {
+        self.busy == 0
+            && !self.wfi_wait
+            && !(self.state.csrs.mie_enabled() && self.state.csrs.pending_interrupt().is_some())
+    }
+
+    /// [`run_batch`](Self::run_batch), monomorphised per mode.
+    fn batch<const COSTEP: bool>(
         &mut self,
         bus: &mut dyn DataBus,
         coproc: &mut dyn Coprocessor,
-        event_mask: u32,
         max_cycles: u64,
     ) -> BatchExit {
         let start = self.cycle;
         loop {
             let used = self.cycle - start;
-            if self.halted || used >= max_cycles || (used > 0 && coproc.is_idle()) {
+            if self.halted || used >= max_cycles || (COSTEP && used > 0 && coproc.is_idle()) {
                 return BatchExit {
                     cycles: used,
                     event: None,
-                    reason: StopReason::Budget,
                 };
             }
             let remaining = max_cycles - used;
 
-            // Translated-block fast path, with the coprocessor co-stepped
-            // cycle by cycle inside the dispatch (same gate as
-            // `run_until`).
-            if self.blocks.is_some()
-                && self.busy == 0
-                && !self.wfi_wait
-                && !(self.state.csrs.mie_enabled() && self.state.csrs.pending_interrupt().is_some())
-            {
-                match self.try_blocks_costep(bus, coproc, remaining) {
-                    BlockOutcome::Ran { event, attention } => {
-                        if let Some(ev) = event {
-                            if event_bit(ev) & event_mask != 0 {
-                                return BatchExit {
-                                    cycles: self.cycle - start,
-                                    event: Some(ev),
-                                    reason: StopReason::Event,
-                                };
-                            }
-                        }
-                        if attention {
-                            return BatchExit {
-                                cycles: self.cycle - start,
-                                event,
-                                reason: StopReason::Attention,
-                            };
-                        }
-                        continue;
+            if !COSTEP {
+                // Bulk-drain a multi-cycle instruction. The cycle where
+                // `busy` reaches zero may complete an `mret`, exactly as in
+                // `step`.
+                if self.busy > 0 {
+                    let skip = u64::from(self.busy).min(remaining);
+                    bus.advance_cycles(skip);
+                    self.cycle += skip;
+                    self.busy -= skip as u32;
+                    self.state.csrs.mcycle = self.cycle as u32;
+                    if self.busy == 0 && self.completing == Completing::Mret {
+                        self.completing = Completing::Plain;
+                        coproc.on_mret(&mut self.state);
+                        return BatchExit {
+                            cycles: self.cycle - start,
+                            event: Some(CoreEvent::MretRetired),
+                        };
                     }
-                    BlockOutcome::NotEngaged => {}
+                    continue;
+                }
+
+                // `wfi` park: `mip` is constant for the whole batch, so with
+                // no pending-and-enabled interrupt the core sleeps out the
+                // budget.
+                if self.wfi_wait && self.state.csrs.mip & self.state.csrs.mie == 0 {
+                    bus.advance_cycles(remaining);
+                    self.cycle += remaining;
+                    self.counters.wfi_cycles += remaining;
+                    let pc = self.wfi_pc;
+                    self.attribute(pc, remaining);
+                    self.state.csrs.mcycle = self.cycle as u32;
+                    return BatchExit {
+                        cycles: max_cycles,
+                        event: None,
+                    };
                 }
             }
 
-            // Coprocessor-stall fast-forward: a custom instruction or
-            // `mret` the coprocessor refuses pins the core at `pc`, and
-            // the interpreter burns one stall cycle per full step call.
-            // Replay those cycles in a tight loop — fetch count, stall
-            // counter, attribution and the coprocessor's step per cycle,
-            // exactly as `step` takes them — without the per-cycle gate
-            // checks and block lookups. Quiescence plus "nothing retires
-            // while stalled" keep every gate input constant, so checking
-            // the gates once before the loop is exact. (The stall state
-            // itself lives in the coprocessor and only moves in its
-            // `step`, so it is re-checked every cycle.)
-            if self.busy == 0
-                && !self.wfi_wait
-                && !(self.state.csrs.mie_enabled() && self.state.csrs.pending_interrupt().is_some())
-            {
+            // Translated-block fast path: execute whole pre-decoded blocks
+            // per dispatch (co-stepping the coprocessor cycle by cycle in a
+            // unit-active batch).
+            if self.blocks.is_some() && self.issue_ready() {
+                let mut cache = self.blocks.take().expect("block cache attached");
+                let outcome = self.run_blocks::<COSTEP>(&mut cache, bus, coproc, remaining);
+                self.blocks = Some(cache);
+                if let BlockOutcome::Ran { event, attention } = outcome {
+                    if event.is_some() || attention {
+                        return BatchExit {
+                            cycles: self.cycle - start,
+                            event,
+                        };
+                    }
+                    continue;
+                }
+            }
+
+            // Coprocessor-stall fast-forward (unit-active batches only): a
+            // custom instruction or `mret` the coprocessor refuses pins the
+            // core at `pc`, and the interpreter burns one stall cycle per
+            // full step call. Replay those cycles in a tight loop — fetch
+            // count, stall counter, attribution and the coprocessor's step
+            // per cycle, exactly as `step` takes them — without the
+            // per-cycle gate checks and block lookups. Quiescence plus
+            // "nothing retires while stalled" keep every gate input
+            // constant, so checking the gates once before the loop is
+            // exact. (The stall state itself lives in the coprocessor and
+            // only moves in its `step`, so it is re-checked every cycle.)
+            if COSTEP && self.issue_ready() {
                 let pc = self.state.pc;
                 if pc & 3 == 0 && self.imem.contains(pc) {
                     let idx = ((pc - self.imem.base()) / 4) as usize;
@@ -1058,32 +941,23 @@ impl CoreEngine {
                 }
             }
 
-            // One cycle, stepwise order: bus clock, core, coprocessor.
+            // One cycle, identical to the per-cycle path: bus clock, core,
+            // then (unit-active) the coprocessor.
             bus.advance_cycles(1);
             let out = self.step(bus, coproc);
-            coproc.step(&mut self.state, bus);
-            let attention = bus.take_attention();
-            if let Some(ev) = out.event {
-                if event_bit(ev) & event_mask != 0 {
-                    return BatchExit {
-                        cycles: self.cycle - start,
-                        event: Some(ev),
-                        reason: StopReason::Event,
-                    };
-                }
+            if COSTEP {
+                coproc.step(&mut self.state, bus);
             }
-            // Unlike `run_until`, a custom instruction does not end the
-            // batch: its only side effects live in the coprocessor and the
-            // core (no MMIO, no interrupt-line change — the batch horizons
-            // cannot move), and the coprocessor is already stepped every
-            // cycle here, which is the very thing the plain batch path
-            // must stop and hand back for. The idle check at the loop
-            // head still ends the batch once the unit drains.
-            if attention {
+            let attention = bus.take_attention();
+            // A custom instruction ends only a quiescent batch: its side
+            // effects live in the coprocessor and the core (no MMIO, no
+            // interrupt-line change — the batch horizons cannot move), so a
+            // unit-active batch, which steps the coprocessor every cycle
+            // anyway, runs on until the unit drains idle.
+            if out.event.is_some() || (!COSTEP && out.custom) || attention {
                 return BatchExit {
                     cycles: self.cycle - start,
                     event: out.event,
-                    reason: StopReason::Attention,
                 };
             }
         }
@@ -1465,7 +1339,7 @@ mod tests {
     }
 
     #[test]
-    fn run_until_matches_per_cycle_stepping() {
+    fn run_batch_matches_per_cycle_stepping() {
         use rvsim_isa::csr;
         // A program with branches, loads/stores, a div stall and a final
         // wfi park — enough variety to exercise every batching path.
@@ -1502,12 +1376,13 @@ mod tests {
         let mut fast_bus = SramBus {
             mem: Mem::new(0x2000_0000, 0x100),
         };
-        let exit = fast.run_until(&mut fast_bus, &mut co, stop_events::ALL, 5_000);
+        let exit = fast.run_batch(&mut fast_bus, &mut co, 5_000);
 
         // Both park in wfi with identical architectural outcomes: the
         // batched run consumes the full budget (wfi bulk-skip) just like
         // 5 000 per-cycle steps do.
-        assert_eq!(exit.reason, StopReason::Budget);
+        assert_eq!(exit.event, None);
+        assert_eq!(exit.cycles, 5_000);
         assert_eq!(exit.cycles, slow_cycles);
         assert_eq!(fast.cycle(), slow.cycle());
         assert_eq!(fast.retired(), slow.retired());
@@ -1591,8 +1466,9 @@ mod tests {
         let mut co = NullCoprocessor;
         if blocks {
             while !e.halted() {
-                let exit = e.run_until(&mut bus, &mut co, stop_events::ALL, 1_000);
-                if exit.cycles == 0 && exit.reason == StopReason::Budget {
+                // A batch that consumes no cycle ran out of budget (every
+                // event costs at least one).
+                if e.run_batch(&mut bus, &mut co, 1_000).cycles == 0 {
                     break;
                 }
             }
@@ -1680,7 +1556,7 @@ mod tests {
                 let mut co = NullCoprocessor;
                 // Part-way through the run: mid-loop, caches warm.
                 while a.cycle() < 700 && !a.halted() {
-                    a.run_until(&mut a_bus, &mut co, stop_events::ALL, 700 - a.cycle());
+                    a.run_batch(&mut a_bus, &mut co, 700 - a.cycle());
                 }
                 let doc = a.to_snap();
                 let bus_doc = a_bus.mem.encode();
@@ -1701,8 +1577,7 @@ mod tests {
 
                 let mut finish = |e: &mut CoreEngine, bus: &mut SramBus| {
                     while !e.halted() {
-                        let exit = e.run_until(bus, &mut co, stop_events::ALL, 1_000);
-                        if exit.cycles == 0 && exit.reason == StopReason::Budget {
+                        if e.run_batch(bus, &mut co, 1_000).cycles == 0 {
                             break;
                         }
                     }
@@ -1777,7 +1652,7 @@ mod tests {
             mem: Mem::new(0x2000_0000, 0x100),
         };
         let mut co = NullCoprocessor;
-        e.run_until(&mut bus, &mut co, stop_events::ALL, 1_000);
+        e.run_batch(&mut bus, &mut co, 1_000);
         assert!(e.halted());
         assert_eq!(e.state.read_reg(Reg::A0), 1);
         assert!(e.counters().block_hits > 0, "block path never engaged");
@@ -1791,7 +1666,7 @@ mod tests {
         e.halted = false;
         e.state.pc = 0;
         e.state.write_reg(Reg::A0, 0);
-        e.run_until(&mut bus, &mut co, stop_events::ALL, 1_000);
+        e.run_batch(&mut bus, &mut co, 1_000);
         assert!(e.halted());
         assert_eq!(
             e.state.read_reg(Reg::A0),
@@ -1834,7 +1709,7 @@ mod tests {
             e.step(&mut bus, &mut co);
         }
         while !e.halted() {
-            e.run_until(&mut bus, &mut co, stop_events::ALL, 1_000);
+            e.run_batch(&mut bus, &mut co, 1_000);
         }
         assert_eq!(e.cycle(), slow.cycle());
         assert_eq!(e.retired(), slow.retired());
@@ -1882,7 +1757,7 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_on_masked_events_only() {
+    fn run_batch_stops_on_every_event() {
         use rvsim_isa::csr;
         let mut a = Asm::new(0);
         a.la(Reg::T0, "handler");
@@ -1902,22 +1777,22 @@ mod tests {
         };
         let mut co = NullCoprocessor;
         // No interrupt pending: spins to the budget.
-        let exit = e.run_until(&mut bus, &mut co, stop_events::ALL, 200);
-        assert_eq!(exit.reason, StopReason::Budget);
+        let exit = e.run_batch(&mut bus, &mut co, 200);
+        assert_eq!(exit.event, None);
         assert_eq!(exit.cycles, 200);
         // Raise MTIP: next batch must stop at the entry event, then run to
         // the halt inside the handler.
         e.state.csrs.mip = csr::MIP_MTIP;
-        let exit = e.run_until(&mut bus, &mut co, stop_events::ALL, 200);
-        assert_eq!(exit.reason, StopReason::Event);
+        let exit = e.run_batch(&mut bus, &mut co, 200);
+        assert!(exit.cycles < 200, "the entry event ends the batch early");
         assert_eq!(
             exit.event,
             Some(CoreEvent::InterruptEntered {
                 cause: csr::CAUSE_TIMER
             })
         );
-        let exit = e.run_until(&mut bus, &mut co, stop_events::ALL, 200);
-        assert_eq!(exit.reason, StopReason::Event);
+        let exit = e.run_batch(&mut bus, &mut co, 200);
+        assert!(exit.cycles < 200, "the halt event ends the batch early");
         assert_eq!(exit.event, Some(CoreEvent::Halted));
         assert!(e.halted());
     }

@@ -3,7 +3,7 @@
 //! When enabled on a [`CoreEngine`](crate::engine::CoreEngine), every
 //! simulated cycle is attributed to one guest PC *at issue time* — the
 //! same trick the activity counters use — so a profile is bit-identical
-//! whether the engine ran per-cycle or through batched `run_until`, and
+//! whether the engine ran per-cycle or through batched `run_batch`, and
 //! enabling it never changes timing (the profiler only counts).
 //!
 //! Attribution rules (mirroring the engine's cycle consumption):

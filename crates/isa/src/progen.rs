@@ -28,7 +28,7 @@
 use crate::csr;
 use crate::instr::{AluOp, BranchOp, CsrOp, Instr, LoadOp, MulDivOp, StoreOp};
 use crate::rng::Rng64;
-use crate::{Asm, CustomOp, Program, Reg};
+use crate::{Asm, AsmError, CustomOp, Program, Reg};
 
 /// Registers generated code never writes (the discipline above).
 pub const PINNED_REGS: [Reg; 3] = [Reg::Tp, Reg::Gp, Reg::S10];
@@ -450,6 +450,10 @@ impl ProgramSpec {
     /// Panics if assembly fails — generated specs assemble by
     /// construction, so a failure is a generator bug.
     pub fn emit(&self) -> Program {
+        self.assemble().expect("generated program assembles")
+    }
+
+    fn assemble(&self) -> Result<Program, AsmError> {
         let n = self.ops.len();
         let landing = self.landing_index();
         let mut a = Asm::new(self.cfg.base);
@@ -496,7 +500,78 @@ impl ProgramSpec {
             a.label(&Self::label(i));
         }
         a.ebreak();
-        a.finish().expect("generated program assembles")
+        a.finish()
+    }
+
+    /// [`emit`](Self::emit) for a spec from outside the generator (a
+    /// replay artifact). `None` unless the spec keeps the discipline the
+    /// generator guarantees — no item writes a pinned register, CSR
+    /// writes go only to [`WRITE_CSRS`], every load or store that is
+    /// aligned (and so really accesses memory) stays inside the data
+    /// window, every offset fits its 12-bit immediate — and the program
+    /// assembles.
+    pub fn try_emit(&self) -> Option<Program> {
+        let cfg = &self.cfg;
+        let gp = cfg.data_base.checked_add(cfg.data_len / 2)?;
+        cfg.data_base.checked_add(cfg.data_len)?;
+        let imm12 = |off: i32| (-2048..2048).contains(&off);
+        // A data access at `base + off` of `width` bytes.
+        let in_window = |gp_base: bool, off: i32, width: u32| {
+            let addr = (if gp_base { gp } else { cfg.data_base }).wrapping_add(off as u32);
+            imm12(off)
+                && (!addr.is_multiple_of(width)
+                    || addr.checked_sub(cfg.data_base).is_some_and(|at| {
+                        u64::from(at) + u64::from(width) <= u64::from(cfg.data_len)
+                    }))
+        };
+        let landing = self.landing_index();
+        let ok = |op: &GenOp| match *op {
+            GenOp::LoadImm { rd, .. }
+            | GenOp::Alu { rd, .. }
+            | GenOp::AluImm { rd, .. }
+            | GenOp::MulDiv { rd, .. }
+            | GenOp::Jal { rd, .. }
+            | GenOp::CsrRead { rd, .. }
+            | GenOp::Custom { rd, .. } => !PINNED_REGS.contains(&rd),
+            GenOp::Load {
+                op,
+                rd,
+                gp_base,
+                off,
+            } => {
+                let width = match op {
+                    LoadOp::Lb | LoadOp::Lbu => 1,
+                    LoadOp::Lh | LoadOp::Lhu => 2,
+                    LoadOp::Lw => 4,
+                };
+                !PINNED_REGS.contains(&rd) && in_window(gp_base, off, width)
+            }
+            GenOp::Store {
+                op, gp_base, off, ..
+            } => {
+                let width = match op {
+                    StoreOp::Sb => 1,
+                    StoreOp::Sh => 2,
+                    StoreOp::Sw => 4,
+                };
+                in_window(gp_base, off, width)
+            }
+            GenOp::Jalr {
+                rd,
+                delta,
+                misalign,
+            } => !PINNED_REGS.contains(&rd) && imm12(self.jalr_offset(delta, misalign, landing)),
+            GenOp::Csr { csr, rd, .. } => WRITE_CSRS.contains(&csr) && !PINNED_REGS.contains(&rd),
+            GenOp::Branch { .. }
+            | GenOp::Fence
+            | GenOp::Wfi
+            | GenOp::Mret { .. }
+            | GenOp::Ecall => true,
+        };
+        if !self.ops.iter().all(ok) {
+            return None;
+        }
+        self.assemble().ok()
     }
 
     fn emit_op(&self, a: &mut Asm, op: GenOp, n: usize, landing: usize) {
@@ -561,26 +636,7 @@ impl ProgramSpec {
                 rd,
                 delta,
                 misalign,
-            } => {
-                // `s10` holds the landing-pad address; the offset is a
-                // small word delta clamped so the target stays inside the
-                // body (any word there decodes — mid-`li` is fine). +2
-                // exercises the fetch-misaligned trap; the handler resumes
-                // at the next aligned word, so the cap leaves room for it.
-                let before: i32 = self.ops[..landing].iter().map(Self::op_words).sum();
-                let after: i32 = self.ops[landing..].iter().map(Self::op_words).sum::<i32>() + 1;
-                let mut off = (delta * 4).clamp(-(before * 4), (after - 1) * 4);
-                if misalign && off + 4 <= (after - 1) * 4 {
-                    off += 2;
-                }
-                // The first word that executes — the target, or the
-                // handler's realigned resume word — must not skip the `la`
-                // of a controlled `mret`, which would return to a stale
-                // `t6`: back up to the item's start.
-                let next = off.div_euclid(4) + i32::from(off % 4 != 0);
-                off -= 4 * self.words_into_mret(landing, next);
-                a.jalr(rd, Reg::S10, off);
-            }
+            } => a.jalr(rd, Reg::S10, self.jalr_offset(delta, misalign, landing)),
             GenOp::Csr { op, csr, rd, src } => {
                 // `mcycle` writes are architecturally ignored (the coverage
                 // we want), but a read of it observes live timing state —
@@ -599,6 +655,29 @@ impl ProgramSpec {
             }
             GenOp::Ecall => a.ecall(),
         }
+    }
+
+    /// The `s10`-relative byte offset a `jalr` item jumps to.
+    fn jalr_offset(&self, delta: i32, misalign: bool, landing: usize) -> i32 {
+        // `s10` holds the landing-pad address; the offset is a small word
+        // delta clamped so the target stays inside the body (any word
+        // there decodes — mid-`li` is fine). +2 exercises the
+        // fetch-misaligned trap; the handler resumes at the next aligned
+        // word, so the cap leaves room for it.
+        let before: i32 = self.ops[..landing].iter().map(Self::op_words).sum();
+        let after: i32 = self.ops[landing..].iter().map(Self::op_words).sum::<i32>() + 1;
+        let mut off = delta
+            .saturating_mul(4)
+            .clamp(-(before * 4), (after - 1) * 4);
+        if misalign && off + 4 <= (after - 1) * 4 {
+            off += 2;
+        }
+        // The first word that executes — the target, or the handler's
+        // realigned resume word — must not skip the `la` of a controlled
+        // `mret`, which would return to a stale `t6`: back up to the
+        // item's start.
+        let next = off.div_euclid(4) + i32::from(off % 4 != 0);
+        off - 4 * self.words_into_mret(landing, next)
     }
 
     /// How many words body word `word` (counted from the landing pad) lies
@@ -955,6 +1034,49 @@ mod tests {
         assert_eq!(GenOp::decode_fields(&[99, 0]), None);
         assert_eq!(GenOp::decode_fields(&[1, 0, 99, 0, 0]), None);
         assert_eq!(GenOp::decode_fields(&[]), None);
+    }
+
+    #[test]
+    fn try_emit_accepts_exactly_what_the_generator_keeps() {
+        for seed in 0..500 {
+            let spec = generate(seed, GenConfig::default());
+            assert_eq!(spec.try_emit(), Some(spec.emit()), "seed {seed}");
+        }
+        let spec = generate(1, GenConfig::default());
+        let with_op = |op| {
+            let mut ops = spec.ops.clone();
+            ops[0] = op;
+            ProgramSpec::from_parts(spec.cfg, ops).try_emit()
+        };
+        assert_eq!(
+            with_op(GenOp::AluImm {
+                op: AluOp::Add,
+                rd: Reg::Gp,
+                rs1: Reg::Gp,
+                imm: 4
+            }),
+            None
+        );
+        let store = |gp_base, off| GenOp::Store {
+            op: StoreOp::Sh,
+            rs2: Reg::A0,
+            gp_base,
+            off,
+        };
+        // The window is `[tp, tp + 4096)` with `gp = tp + 2048`.
+        assert!(with_op(store(true, 2046)).is_some());
+        assert!(with_op(store(true, 2047)).is_some(), "misaligned: traps");
+        assert_eq!(with_op(store(true, 2048)), None);
+        assert_eq!(with_op(store(false, -2)), None);
+        assert_eq!(
+            with_op(GenOp::Csr {
+                op: CsrOp::Rs,
+                csr: csr::MEPC,
+                rd: Reg::A0,
+                src: 0
+            }),
+            None
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@ fn core_from_tag(tag: &str) -> CoreKind {
 fn preset_from_lower(name: &str) -> rtosunit::Preset {
     ORACLE_PRESETS
         .into_iter()
-        .find(|p| rvsim_check::artifact::preset_name(*p) == name)
+        .find(|p| p.tag() == name)
         .unwrap_or_else(|| panic!("unknown oracle preset {name:?}"))
 }
 

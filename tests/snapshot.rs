@@ -4,7 +4,7 @@
 //! cycle-for-cycle, counter-for-counter and trace-for-trace identical to
 //! one that never stopped. This battery enforces it across the full
 //! matrix — every timing engine × every execution mode (per-cycle
-//! stepping, batched `run_until`, block translation cache) × {1, 2, 4}
+//! stepping, batched `run_batch`, block translation cache) × {1, 2, 4}
 //! harts × fault injection on/off — and checks the envelope itself:
 //! tampered or truncated documents are rejected, and serialization is
 //! byte-stable so digests can be pinned.
