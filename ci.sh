@@ -63,7 +63,7 @@ echo "== fault-injection smoke (fig_faults --quick; tier-1 campaign is tests/fau
 # The ~200-injection tier-1 slice runs inside `cargo test` above
 # (root tests/faults.rs). This step smoke-tests the figure bin:
 # 72 classified runs across 3 cores x {vanilla, SLT, SDLOT}, every
-# outcome on the lattice, crashes quarantined as replay artifacts.
+# outcome on the lattice, each run a replayable record in the artifact.
 cargo run -q --release -p rtosunit-bench --bin fig_faults -- --quick > /dev/null
 test -s results/fig_faults_quick.json
 if [ "$HAVE_PY" = 1 ]; then

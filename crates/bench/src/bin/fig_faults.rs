@@ -105,63 +105,11 @@ fn main() {
         Ok(path) => println!("# campaign artifact: {path}"),
         Err(e) => eprintln!("# campaign artifact not written: {e}"),
     }
-    match quarantine_crashes(name, &campaign) {
-        Ok(0) => {}
-        Ok(n) => println!("# {n} crashed runs quarantined under results/quarantine/"),
-        Err(e) => eprintln!("# quarantine not written: {e}"),
-    }
     println!(
         "# fig_faults: {} runs classified ({} cells)",
         campaign.runs.len(),
         CoreKind::ALL.len() * PRESETS.len()
     );
-}
-
-/// Writes one standalone replay artifact per crashed run into
-/// `results/quarantine/` — the scenario seeds plus the exact fault
-/// events, so the crash re-runs without the generator (and shrinks via
-/// [`rvsim_check::shrink_fault_events`]). Returns the number written.
-fn quarantine_crashes(name: &str, campaign: &FaultCampaign) -> std::io::Result<usize> {
-    let crashed: Vec<_> = campaign
-        .runs
-        .iter()
-        .filter(|r| r.report.outcome == FaultOutcome::Crashed)
-        .collect();
-    if crashed.is_empty() {
-        return Ok(0);
-    }
-    std::fs::create_dir_all("results/quarantine")?;
-    for r in &crashed {
-        let doc = Json::object()
-            .with("schema", "rtosunit-fault-quarantine-v1")
-            .with("campaign", name)
-            .with("core", r.core.name())
-            .with("preset", r.preset.label())
-            .with("scenario_seed", r.scenario_seed)
-            .with("fault_seed", r.fault_seed)
-            .with(
-                "events",
-                r.events
-                    .iter()
-                    .map(|e| {
-                        Json::object()
-                            .with("at_cycle", e.at_cycle)
-                            .with("kind", e.kind.name())
-                            .with("code", e.kind.code())
-                    })
-                    .collect::<Vec<_>>(),
-            )
-            .with("detail", r.report.detail.as_str());
-        let path = format!(
-            "results/quarantine/{name}_{}_{}_s{}_f{}.json",
-            r.core.name(),
-            r.preset.label().trim_matches(|c| c == '(' || c == ')'),
-            r.scenario_seed,
-            r.fault_seed
-        );
-        std::fs::write(path, doc.render())?;
-    }
-    Ok(crashed.len())
 }
 
 /// Renders the campaign as `results/<name>.json`: the per-cell tallies

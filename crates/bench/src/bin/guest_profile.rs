@@ -26,7 +26,7 @@
 //! root per hart so the flamegraph shows per-hart attribution
 //! side by side.
 
-use rtosbench::workloads;
+use rtosbench::{campaign::contention_program, workloads};
 use rtosunit::{Preset, SmpSystem, System};
 use rvsim_cores::{hot_block_report, hot_block_report_with_blocks, CoreKind, PcProfile};
 use std::process::ExitCode;
@@ -145,7 +145,7 @@ fn main() -> ExitCode {
         }
         let mut smp = SmpSystem::new(core, preset, harts);
         image.install(smp.hart_mut(0));
-        let pounder = contention_echo();
+        let pounder = contention_program();
         for h in 1..harts {
             smp.load_program(h, &pounder);
         }
@@ -202,23 +202,4 @@ fn append_hart(
         report.push_str(&hot_block_report(profile, &blocks, 10));
     }
     report.push('\n');
-}
-
-/// The same cache-defeating pounder the campaign layer uses for its SMP
-/// contention axis (private DMEM walk, pure shared-bus pressure).
-fn contention_echo() -> rvsim_isa::Program {
-    use rvsim_isa::{Asm, Reg};
-    let mut a = Asm::new(rtosunit::layout::IMEM_BASE);
-    a.li(Reg::T4, 4096);
-    a.label("pound");
-    a.li(Reg::T2, rtosunit::layout::DMEM_BASE as i32);
-    a.li(Reg::T1, 8);
-    a.label("slot");
-    a.sw(Reg::T3, 0, Reg::T2);
-    a.lw(Reg::T3, 4, Reg::T2);
-    a.add(Reg::T2, Reg::T2, Reg::T4);
-    a.addi(Reg::T1, Reg::T1, -1);
-    a.bne(Reg::T1, Reg::Zero, "slot");
-    a.j("pound");
-    a.finish().expect("contention program assembles")
 }

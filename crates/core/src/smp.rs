@@ -495,21 +495,4 @@ mod tests {
             "continuations must stay bit-identical"
         );
     }
-
-    #[test]
-    fn one_hart_smp_is_cycle_identical_to_a_plain_system() {
-        let prog = hartid_program();
-        let mut plain = System::new(CoreKind::Cva6, Preset::Vanilla);
-        plain.load_program(&prog);
-        plain.run(10_000);
-
-        let mut smp = SmpSystem::new(CoreKind::Cva6, Preset::Vanilla, 1);
-        smp.load_program(0, &prog);
-        smp.run(10_000);
-
-        assert_eq!(plain.platform.cycle(), smp.hart(0).platform.cycle());
-        assert_eq!(plain.core.retired(), smp.hart(0).core.retired());
-        let stats = smp.shared().borrow().bus_stats(0);
-        assert_eq!(stats.wait_cycles, 0, "a lone master never waits");
-    }
 }

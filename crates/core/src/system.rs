@@ -163,8 +163,9 @@ impl System {
 
     /// Schedules the external interrupt line to rise at an absolute cycle.
     pub fn schedule_external_irq(&mut self, cycle: u64) {
-        self.ext_schedule.push(cycle);
-        self.ext_schedule.sort_unstable_by(|a, b| b.cmp(a)); // pop from the back
+        // Kept in descending order, so the next arrival pops from the back.
+        let at = self.ext_schedule.partition_point(|&c| c > cycle);
+        self.ext_schedule.insert(at, cycle);
     }
 
     /// Attaches a deterministic fault-injection schedule. The quiescence
@@ -468,7 +469,7 @@ impl System {
             }
 
             // A unit-active batch co-steps the coprocessor every consumed
-            // cycle, including the exit cycle.
+            // cycle but one that raised an event.
             let costep = !self.unit.as_coproc().is_idle();
             let exit = self
                 .core
@@ -476,11 +477,13 @@ impl System {
             if let Some(event) = exit.event {
                 self.track_episode(event, self.platform.cycle());
             }
-            // The exit cycle's unit step: a no-op unless the final cycle
-            // entered an interrupt or executed a custom instruction —
-            // exactly the cycles where the per-cycle path steps a
-            // newly-active unit. A co-stepped batch already took it.
-            if !costep && exit.cycles > 0 {
+            // The exit cycle's unit step, after the episode bookkeeping as
+            // in `step`. A quiescent batch leaves it to us; it is a no-op
+            // unless the final cycle entered an interrupt or executed a
+            // custom instruction — exactly the cycles where the per-cycle
+            // path steps a newly-active unit. A co-stepped batch took it
+            // already, unless the final cycle raised an event.
+            if exit.cycles > 0 && (!costep || exit.event.is_some()) {
                 self.unit
                     .as_coproc()
                     .step(&mut self.core.state, &mut self.platform);
@@ -707,6 +710,15 @@ mod tests {
         assert_eq!(sys.run(5000), RunExit::Halted);
         // The trigger cycle must match the scheduled assertion.
         assert!(sys.platform.cycle() >= 300);
+    }
+
+    #[test]
+    fn irq_schedule_stays_descending_whatever_the_insert_order() {
+        let mut sys = System::new(CoreKind::Cv32e40p, Preset::Vanilla);
+        for cycle in [500, 100, 900, 500, 300, 1_000, 100] {
+            sys.schedule_external_irq(cycle);
+        }
+        assert_eq!(sys.ext_schedule, [1_000, 900, 500, 500, 300, 100, 100]);
     }
 
     fn isr_program_with_stack() -> Program {

@@ -1003,8 +1003,9 @@ impl CoreEngine {
             };
             // The issue cycle's coprocessor step — after the core's work,
             // exactly where the per-cycle platform loop puts it (even
-            // when the step trapped or raised attention).
-            if COSTEP {
+            // when the step raised attention). A trap's event ends the
+            // batch first: the caller records it, then takes this step.
+            if COSTEP && !matches!(exit, Some(StepExit::Event(_))) {
                 co.step(&mut self.state, bus);
             }
             if let Some(e) = exit {
@@ -1054,10 +1055,11 @@ impl CoreEngine {
 
     /// Synchronous-exception entry from block mode: the issue cycle is
     /// already consumed and counted, but nothing retires. The interpreter
-    /// pushes and immediately pops the trace entry, which drops the
-    /// oldest entry when the ring is full — replicated exactly.
+    /// pushes and immediately pops the trace entry, which overwrites a
+    /// ring slot — replayed exactly, so the ring's buffer matches too.
     fn block_trap(&mut self, pc: u32, cause: u32, pending: &mut u32) -> CoreEvent {
-        self.trace.drop_oldest_if_full();
+        self.trace.push((self.cycle, pc));
+        self.trace.pop_back();
         let target = self.state.csrs.enter_trap(pc, cause);
         self.state.pc = target;
         let drain = self.params.irq_entry_latency.saturating_sub(1);

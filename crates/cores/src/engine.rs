@@ -208,15 +208,6 @@ impl RetireRing {
         self.len -= 1;
     }
 
-    /// The net effect of the interpreter's push-then-pop-back when the
-    /// ring is full: the oldest entry is gone, nothing new is kept.
-    #[inline]
-    pub(crate) fn drop_oldest_if_full(&mut self) {
-        if self.len == self.buf.len() {
-            self.len -= 1;
-        }
-    }
-
     /// Entries oldest-first.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
         let depth = self.buf.len();
@@ -797,9 +788,11 @@ impl CoreEngine {
     ///   work (context store/restore FSMs, speculative preload, a
     ///   scheduler sort), so it is stepped every cycle in exactly the
     ///   stepwise order (bus clock, core, coprocessor), including inside
-    ///   block dispatch and on the final cycle — the caller must not step
-    ///   it again. The batch also ends as soon as the coprocessor drains
-    ///   idle, so the caller can re-enter the faster quiescent mode.
+    ///   block dispatch. The one exception is a final cycle that raised
+    ///   an event: the caller steps the coprocessor for it after handling
+    ///   the event, as the per-cycle platform loop does. The batch also
+    ///   ends as soon as the coprocessor drains idle, so the caller can
+    ///   re-enter the faster quiescent mode.
     pub fn run_batch(
         &mut self,
         bus: &mut dyn DataBus,
@@ -942,10 +935,13 @@ impl CoreEngine {
             }
 
             // One cycle, identical to the per-cycle path: bus clock, core,
-            // then (unit-active) the coprocessor.
+            // then (unit-active) the coprocessor. A cycle that raises an
+            // event ends the batch before its coprocessor step: the caller
+            // records the event first and then takes that step, in the
+            // per-cycle path's order.
             bus.advance_cycles(1);
             let out = self.step(bus, coproc);
-            if COSTEP {
+            if COSTEP && out.event.is_none() {
                 coproc.step(&mut self.state, bus);
             }
             let attention = bus.take_attention();

@@ -1265,8 +1265,8 @@ fn simulate_smp(
 /// cached cores (CVA6: 64 sets × 16 B lines; NaxRiscv: 64 sets × 64 B
 /// lines) with more tags than either's 4 ways — so every iteration
 /// misses (and write-back evicts) instead of settling into the cache
-/// and going silent on the bus.
-fn contention_program() -> rvsim_isa::Program {
+/// and going silent on the bus. `guest_profile` loads it too.
+pub fn contention_program() -> rvsim_isa::Program {
     use rvsim_isa::{Asm, Reg};
     let mut a = Asm::new(IMEM_BASE);
     a.li(Reg::T4, 4096);

@@ -1,271 +1,40 @@
-//! Differential test for the batched execution path.
-//!
-//! `System::run` burns through quiescent stretches with the engine's
-//! `run_batch`; `System::run_stepwise` is the cycle-by-cycle reference.
-//! The two must be cycle-exact: identical switch episodes (trigger, entry
-//! and `mret` timestamps), cycle counts, retirement counts and port
-//! occupancy, for every core model and unit preset — including the
-//! presets with background FSM activity (preloading, hardware
-//! scheduling, CV32RT snapshots) where batching must correctly fall back
-//! to per-cycle stepping.
+//! The determinism matrix (`matrix/mod.rs`, DESIGN.md §9): batched and
+//! block-cache runs end in their stepwise run's full machine state, and
+//! so does each restored from a snapshot mid-run.
 
-use rtosunit_suite::bench::workloads;
-use rtosunit_suite::cores::{CoreKind, FaultEvent, FaultKind, FaultPlan};
-use rtosunit_suite::isa::Reg;
-use rtosunit_suite::unit::{layout, Preset, System};
+mod matrix;
 
-/// A tame deterministic fault plan scaled to the workload's run length:
-/// one of each benign kind, none of which can wedge the guest (they
-/// perturb timing and values, not control flow).
-fn tame_plan(run_cycles: u64) -> FaultPlan {
-    let at = |f: u64| run_cycles * f / 10;
-    FaultPlan::new(vec![
-        FaultEvent {
-            at_cycle: at(1),
-            kind: FaultKind::SpuriousIpi,
-        },
-        FaultEvent {
-            at_cycle: at(2),
-            kind: FaultKind::MemFlip {
-                addr: layout::DMEM_BASE + 4, // kernel tick count
-                bit: 1,
-            },
-        },
-        FaultEvent {
-            at_cycle: at(3),
-            kind: FaultKind::SpuriousIrq,
-        },
-        FaultEvent {
-            at_cycle: at(4),
-            kind: FaultKind::CacheUpset {
-                addr: layout::DMEM_BASE,
-            },
-        },
-        FaultEvent {
-            at_cycle: at(5),
-            kind: FaultKind::RegFlip {
-                reg: Reg::S3,
-                bit: 0,
-            },
-        },
-        FaultEvent {
-            at_cycle: at(6),
-            kind: FaultKind::BusError,
-        },
-        FaultEvent {
-            at_cycle: at(7),
-            kind: FaultKind::DelayIrq { delay: 64 },
-        },
-    ])
-}
+use matrix::{assert_none, check_cells, Mode};
 
-fn run_one(
-    core: CoreKind,
-    preset: Preset,
-    workload: &str,
-    stepwise: bool,
-    faulted: bool,
-    blocks: bool,
-) -> System {
-    let w = workloads::by_name(workload).expect("workload exists");
-    let image = workloads::build(&w, preset).expect("workload builds");
-    let mut sys = System::new(core, preset);
-    image.install(&mut sys);
-    if faulted {
-        sys.attach_fault_plan(tame_plan(w.run_cycles));
-    }
-    // Profile every run: the per-PC cycle attribution must be path-exact
-    // too (asserted below), and enabling it must not perturb any of the
-    // other equivalences.
-    sys.set_profiling(true);
-    if blocks {
-        sys.set_block_cache(true);
-    }
-    if w.ext_irq_interval > 0 {
-        let mut at = w.ext_irq_interval;
-        while at < w.run_cycles {
-            sys.schedule_external_irq(at);
-            at += w.ext_irq_interval;
-        }
-    }
-    if stepwise {
-        sys.run_stepwise(w.run_cycles);
-    } else {
-        sys.run(w.run_cycles);
-    }
-    sys
-}
-
-fn assert_equivalent_inner(
-    core: CoreKind,
-    preset: Preset,
-    workload: &str,
-    faulted: bool,
-    blocks: bool,
-) {
-    // The block translation cache only ever accelerates the batched
-    // path; the stepwise reference always interprets per cycle.
-    let mut fast = run_one(core, preset, workload, false, faulted, blocks);
-    let mut slow = run_one(core, preset, workload, true, faulted, false);
-    let ctx = format!("{core:?}/{preset}/{workload}/faulted={faulted}/blocks={blocks}");
-    assert_eq!(
-        fast.take_profile(),
-        slow.take_profile(),
-        "{ctx}: guest PC profiles diverged"
-    );
-    assert_eq!(
-        fast.records(),
-        slow.records(),
-        "{ctx}: switch episodes diverged"
-    );
-    assert_eq!(
-        fast.platform.cycle(),
-        slow.platform.cycle(),
-        "{ctx}: cycle counts diverged"
-    );
-    assert_eq!(
-        fast.core.retired(),
-        slow.core.retired(),
-        "{ctx}: retirement diverged"
-    );
-    assert_eq!(
-        fast.platform.port_occupancy(),
-        slow.platform.port_occupancy(),
-        "{ctx}: port occupancy diverged"
-    );
-    assert_eq!(
-        fast.platform.mmio.trace_marks, slow.platform.mmio.trace_marks,
-        "{ctx}: trace marks diverged"
-    );
-    assert_eq!(
-        fast.unit_stats(),
-        slow.unit_stats(),
-        "{ctx}: unit counters diverged"
-    );
-    // With the block cache on, every architectural counter still matches
-    // the per-cycle reference exactly; only the fast path's own
-    // bookkeeping trio (block_hits/block_builds/fused_ops) is nonzero.
-    assert_eq!(
-        fast.core.counters().without_block_stats(),
-        slow.core.counters().without_block_stats(),
-        "{ctx}: core activity counters diverged"
-    );
-    if blocks {
-        assert!(
-            fast.core.counters().block_hits > 0,
-            "{ctx}: block cache never engaged"
-        );
-    } else {
-        assert_eq!(
-            fast.core.counters(),
-            slow.core.counters(),
-            "{ctx}: block bookkeeping counters moved without the cache"
-        );
-    }
-    assert_eq!(
-        fast.faults_applied(),
-        slow.faults_applied(),
-        "{ctx}: applied fault counts diverged"
-    );
-    if faulted {
-        assert!(fast.faults_applied() > 0, "{ctx}: plan never fired");
-    }
-}
-
-fn assert_equivalent(core: CoreKind, preset: Preset, workload: &str) {
-    assert_equivalent_inner(core, preset, workload, false, false);
-}
+const BATCHED: [Mode; 2] = [Mode::Batched, Mode::Resumed];
+const BLOCKS: [Mode; 2] = [Mode::Blocks, Mode::ResumedBlocks];
 
 #[test]
 fn batched_run_matches_stepwise_across_the_latency_matrix() {
-    // Workloads chosen to cover the interrupt sources: voluntary yields
-    // (MSIP), periodic ticks (MTIP) and external IRQs (MEIP).
-    for core in CoreKind::ALL {
-        for preset in [
-            Preset::Vanilla,
-            Preset::Cv32rt,
-            Preset::S,
-            Preset::Slt,
-            Preset::Split,
-        ] {
-            for workload in ["roundrobin_yield", "delay_periodic", "interrupt_latency"] {
-                assert_equivalent(core, preset, workload);
-            }
-        }
-    }
+    assert_none(&check_cells(&matrix::latency_matrix(), &BATCHED));
 }
 
 #[test]
 fn batched_run_matches_stepwise_for_remaining_presets() {
-    for preset in [
-        Preset::Sl,
-        Preset::T,
-        Preset::St,
-        Preset::Sdlo,
-        Preset::Sdlot,
-        Preset::SltHs,
-    ] {
-        assert_equivalent(CoreKind::Cv32e40p, preset, "pingpong_semaphore");
-        assert_equivalent(CoreKind::NaxRiscv, preset, "priority_chain");
-    }
+    assert_none(&check_cells(&matrix::remaining_presets(), &BATCHED));
 }
 
 #[test]
 fn batched_run_matches_stepwise_with_a_fault_plan() {
-    // Injection must not break the batching contract: the quiescent
-    // horizon stops short of every planned fault, so batched and
-    // stepwise runs stay bit-identical *with faults firing*.
-    for core in CoreKind::ALL {
-        for preset in [Preset::Vanilla, Preset::Slt] {
-            for workload in ["delay_periodic", "interrupt_latency"] {
-                assert_equivalent_inner(core, preset, workload, true, false);
-            }
-        }
-    }
+    assert_none(&check_cells(&matrix::fault_plan_cells(), &BATCHED));
 }
 
 #[test]
 fn blocks_enabled_run_matches_stepwise_across_the_latency_matrix() {
-    for core in CoreKind::ALL {
-        for preset in [Preset::Vanilla, Preset::Cv32rt, Preset::Slt, Preset::Split] {
-            for workload in ["roundrobin_yield", "delay_periodic", "interrupt_latency"] {
-                assert_equivalent_inner(core, preset, workload, false, true);
-            }
-        }
-    }
+    assert_none(&check_cells(&matrix::latency_matrix(), &BLOCKS));
 }
 
 #[test]
 fn blocks_enabled_run_matches_stepwise_for_remaining_presets() {
-    for preset in [
-        Preset::Sl,
-        Preset::T,
-        Preset::St,
-        Preset::Sdlo,
-        Preset::Sdlot,
-        Preset::SltHs,
-    ] {
-        assert_equivalent_inner(
-            CoreKind::Cv32e40p,
-            preset,
-            "pingpong_semaphore",
-            false,
-            true,
-        );
-        assert_equivalent_inner(CoreKind::NaxRiscv, preset, "priority_chain", false, true);
-    }
+    assert_none(&check_cells(&matrix::remaining_presets(), &BLOCKS));
 }
 
 #[test]
 fn blocks_enabled_run_matches_stepwise_with_a_fault_plan() {
-    // Faults perturb registers, memory, IRQ lines and the cache while
-    // blocks are live; the quiescent horizon still stops short of every
-    // planned fault, so the translated path stays bit-identical too.
-    for core in CoreKind::ALL {
-        for preset in [Preset::Vanilla, Preset::Slt] {
-            for workload in ["delay_periodic", "interrupt_latency"] {
-                assert_equivalent_inner(core, preset, workload, true, true);
-            }
-        }
-    }
+    assert_none(&check_cells(&matrix::fault_plan_cells(), &BLOCKS));
 }
